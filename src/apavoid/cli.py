@@ -172,7 +172,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         if args.verify:
             max_direction = args.max_direction if args.max_direction is not None else 8
             hit = lattice.verify_grid(grid, threshold, strict=strict, min_period=min_period,
-                                      max_direction=max_direction, threads=args.threads)
+                                      max_direction=max_direction)
             if hit is not None:
                 spec, report = hit
                 print(f"line row={spec.row} col={spec.col} drow={spec.drow} "
@@ -229,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-direction", type=int, default=None,
                    help="direction cap; verify defaults to 8, search to size-1")
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--budget", type=int, default=10**8)
     p.add_argument("--out", default=None, help="write a PPM image here")
     p.add_argument("--out-text", default=None, help="write the text serialization here")

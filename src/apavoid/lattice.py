@@ -12,7 +12,6 @@ their factors.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,8 +71,13 @@ class Grid:
         if len(lines) != rows + 1:
             raise ValueError(f"expected {rows} rows of cells, found {len(lines) - 1}")
         cells = bytearray()
-        for ln in lines[1:]:
-            cells.extend(_CHARS.index(c) for c in ln)
+        for row, ln in enumerate(lines[1:]):
+            for col, c in enumerate(ln):
+                sym = _CHARS.find(c)
+                if sym < 0:
+                    raise ValueError(f"bad cell character {c!r} in row {row}, column {col}; "
+                                     f"cells are digits from {_CHARS!r}")
+                cells.append(sym)
         return cls(rows, cols, bytes(cells), alphabet)
 
 
@@ -174,31 +178,17 @@ def verify_grid(
     strict: bool = False,
     min_period: int = 1,
     max_direction: int = 8,
-    threads: int = 1,
 ) -> tuple[LineSpec, RepetitionReport] | None:
     """First repetition on any maximal line, in enumeration order, or None.
 
-    Lines are plain words here, so the scan runs at difference 1. With
-    threads > 1 the lines are checked concurrently; the reported violation
-    is still the earliest in enumeration order.
+    Lines are plain words here, so the scan runs at difference 1.
     """
-    specs = enumerate_maximal_lines(g.rows, g.cols, max_direction)
     diff1 = Differences.exactly(1)
-
-    def check(spec: LineSpec) -> RepetitionReport | None:
-        return find_repetition(extract_line(g, spec), threshold, strict=strict,
-                               min_period=min_period, differences=diff1)
-
-    if threads <= 1:
-        for spec in specs:
-            rep = check(spec)
-            if rep is not None:
-                return spec, rep
-        return None
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for spec, rep in zip(specs, pool.map(check, specs)):
-            if rep is not None:
-                return spec, rep
+    for spec in enumerate_maximal_lines(g.rows, g.cols, max_direction):
+        rep = find_repetition(extract_line(g, spec), threshold, strict=strict,
+                              min_period=min_period, differences=diff1)
+        if rep is not None:
+            return spec, rep
     return None
 
 

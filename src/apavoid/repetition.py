@@ -140,18 +140,113 @@ def word_exponent(w: Word) -> Fraction:
     return Fraction(len(w), smallest_period(w))
 
 
+def _mismatches(s: bytes, shift: int) -> bytes:
+    """Byte i is zero exactly when s[i] == s[i + shift]; one big-integer xor."""
+    size = len(s) - shift
+    x = int.from_bytes(s[:size], "big") ^ int.from_bytes(s[shift:], "big")
+    return x.to_bytes(size, "big")
+
+
+def _min_run(p: int, t_num: int, t_den: int, strict: bool) -> int:
+    """Least r >= 0 with (p + r) / p reaching t_num / t_den (exceeding it when strict).
+
+    A factor of period p and length p + r has exponent at least (p + r) / p,
+    so r is how many positions must agree p steps apart. Integers only.
+    """
+    excess = p * (t_num - t_den)
+    return excess // t_den + 1 if strict else -(-excess // t_den)
+
+
 def max_exponent(w: Word, *, size_cap: int = 8192) -> Fraction:
     """Largest exponent over all nonempty factors of w.
 
-    The scan is quadratic, so inputs beyond size_cap are rejected rather
-    than silently taking minutes; pass a bigger cap to override.
+    This is the maximum over shifts p of (r + p) / p, where r is the longest
+    run of positions with w[i] == w[i + p]: a factor of smallest period q
+    gives a run of |f| - q at shift q, and a run at shift p gives a factor of
+    exponent at least (r + p) / p. For p = 1, 2, ... the word is xored with
+    itself shifted by p, and bytes.find looks for a zero run long enough to
+    beat the best exponent so far; a found run is grown to its end. The scan
+    stops at the first p where no such run fits.
+
+    The byte work is still quadratic in the worst case, so inputs beyond
+    size_cap are rejected rather than silently taking minutes; pass a bigger
+    cap to override.
     """
     if len(w) == 0:
         raise ValueError("the empty word has no exponent")
     if len(w) > size_cap:
         raise ValueError(f"word of length {len(w)} exceeds size_cap={size_cap}")
-    m, p = _backend.max_exponent_pair(w.symbols)
-    return Fraction(m, p)
+    s = w.symbols
+    n = len(s)
+    best = Fraction(1)
+    p = 1
+    while True:
+        need = _min_run(p, best.numerator, best.denominator, True)
+        if p + need > n:
+            return best
+        diff = _mismatches(s, p)
+        i = diff.find(bytes(need))
+        while i >= 0:
+            stop = len(diff) - len(diff[i:].lstrip(b"\0"))
+            best = Fraction(stop - i + p, p)
+            i = diff.find(bytes(stop - i + 1), stop)
+        p += 1
+
+
+def _difference_flagged(s: bytes, j: int, t_num: int, t_den: int, strict: bool,
+                        min_period: int) -> bool:
+    """Might some progression of difference j hold a repetition?
+
+    For each period p, the word is xored with itself shifted by p*j; a zero
+    byte at i says s[i] == s[i + p*j]. Or-ing in copies shifted by j, 2j,
+    4j, ... bytes until r = _min_run(p) terms are covered leaves a zero at
+    i >= (r - 1)*j exactly where r such pairs end, one stride apart, in one
+    class. A repetition of smallest period q >= min_period leaves that mark
+    at p = q, so a difference that is never flagged is clean.
+    """
+    n = len(s)
+    longest = -(-n // j)
+    p = min_period
+    while True:
+        r = _min_run(p, t_num, t_den, strict)
+        if p + r > longest:
+            return False
+        if r == 0:
+            return True
+        size = n - p * j
+        e = int.from_bytes(s[:size], "big") ^ int.from_bytes(s[p * j :], "big")
+        covered = 1
+        while covered < r:
+            step = min(covered, r - covered)
+            e |= e >> (8 * j * step)
+            covered += step
+        if e.to_bytes(size, "big").find(0, (r - 1) * j) >= 0:
+            return True
+        p += 1
+
+
+def _first_candidate(ap: bytes, t_num: int, t_den: int, strict: bool,
+                     min_period: int) -> int | None:
+    """Earliest offset where ap has r = _min_run(p) positions agreeing p apart.
+
+    No repetition of smallest period >= min_period starts before it; with
+    min_period 1 one starts right there.
+    """
+    m = len(ap)
+    best = None
+    p = min_period
+    while True:
+        r = _min_run(p, t_num, t_den, strict)
+        if p + r > m:
+            return best
+        if r == 0:
+            return 0
+        i = _mismatches(ap, p).find(bytes(r), 0, m if best is None else best - 1 + r)
+        if i == 0:
+            return 0
+        if i > 0:
+            best = i
+        p += 1
 
 
 def find_repetition(
@@ -167,6 +262,15 @@ def find_repetition(
     A repetition is a factor of an extracted subsequence whose exponent
     reaches the threshold (exceeds it when strict) with smallest period at
     least min_period. Returns None when every progression is clean.
+
+    Each difference is first screened as a whole, one xor-and-find pass per
+    period, and a difference without a mark is skipped. In a flagged
+    difference the classes are walked in start order; in each, the earliest
+    offset where a repetition can start is found the same way, and the exact
+    kernel runs from that offset on. It reads no symbol before it, so its
+    report, shifted back by the offset, is the one the scan contract asks
+    for. With min_period > 1 a candidate can be false; the kernel then finds
+    nothing and the walk moves on.
     """
     t = threshold if isinstance(threshold, Fraction) else Fraction(threshold)
     if t < 1:
@@ -175,16 +279,22 @@ def find_repetition(
         raise ValueError("min_period must be at least 1")
     if differences is None:
         differences = Differences.all()
+    t_num, t_den = t.numerator, t.denominator
     s = w.symbols
     n = len(s)
     for j in differences.candidates(n):
+        if not _difference_flagged(s, j, t_num, t_den, strict, min_period):
+            continue
         for start in range(j):
             ap = s[start::j]
-            hit = _backend.first_repetition(ap, t.numerator, t.denominator, strict, min_period)
+            o = _first_candidate(ap, t_num, t_den, strict, min_period)
+            if o is None:
+                continue
+            hit = _backend.first_repetition(ap[o:], t_num, t_den, strict, min_period)
             if hit is not None:
                 offset, period, run = hit
                 return RepetitionReport(
-                    Progression(start, j, len(ap)), offset, period, Fraction(run, period)
+                    Progression(start, j, len(ap)), o + offset, period, Fraction(run, period)
                 )
     return None
 
@@ -199,11 +309,9 @@ def find_spaced_repeat(w: Word, m: int) -> int | None:
         raise ValueError("block length must be at least 1")
     s = w.symbols
     n = len(s)
-    gap = m + 1
     if n < 2 * m + 1:
         return None
-    diff = int.from_bytes(s[: n - gap], "big") ^ int.from_bytes(s[gap:], "big")
-    pos = diff.to_bytes(n - gap, "big").find(bytes(m))
+    pos = _mismatches(s, m + 1).find(bytes(m))
     return pos if pos >= 0 else None
 
 
@@ -222,8 +330,7 @@ def has_power_of_period(w: Word, period: int, k: int) -> bool:
     n = len(s)
     if n < k * period:
         return False
-    diff = int.from_bytes(s[: n - period], "big") ^ int.from_bytes(s[period:], "big")
-    return diff.to_bytes(n - period, "big").find(bytes((k - 1) * period)) >= 0
+    return _mismatches(s, period).find(bytes((k - 1) * period)) >= 0
 
 
 def has_square_of_period(w: Word, period: int) -> bool:

@@ -93,6 +93,31 @@ def first_report(seq, threshold, strict=False, min_period=1, odd_only=False,
     return hits[0] if hits else None
 
 
+def first_report_per_progression(seq, first_repetition, threshold, strict=False, min_period=1,
+                                 differences=None):
+    """The first report as one kernel call per progression, in scan order.
+
+    This is how the package scanned before it screened whole differences.
+    ``first_repetition`` is a kernel with the signature of
+    ``apavoid._kernels_py.first_repetition``, passed in so that this module
+    imports nothing from apavoid; ``differences`` lists the differences to
+    scan, ascending (default 1..n-1). Returns (diff, start, offset, period,
+    run), like ``first_report``.
+    """
+    seq = bytes(seq)
+    threshold = Fraction(threshold)
+    if differences is None:
+        differences = range(1, len(seq))
+    for j in differences:
+        for start in range(j):
+            hit = first_repetition(seq[start::j], threshold.numerator, threshold.denominator,
+                                   strict, min_period)
+            if hit is not None:
+                offset, period, run = hit
+                return (j, start, offset, period, run)
+    return None
+
+
 def subwords(seq, n):
     return {tuple(seq[i:i + n]) for i in range(len(seq) - n + 1)}
 

@@ -169,13 +169,6 @@ def test_grid_construction_verify_ok(capsys):
     assert code == 0 and out == "ok\n"
 
 
-def test_grid_verify_threaded_matches(capsys):
-    solo = run_cli(capsys, "grid", "--construction", "bigsq4", "--size", "8", "--verify")
-    duo = run_cli(capsys, "grid", "--construction", "bigsq4", "--size", "8",
-                  "--verify", "--threads", "4")
-    assert solo == duo == (0, "ok\n", "")
-
-
 def test_grid_verify_violation_line(capsys):
     # threshold 1 is degenerate: the very first cell of the first line trips
     code, out, _ = run_cli(capsys, "grid", "--construction", "product16",

@@ -66,6 +66,13 @@ def test_grid_from_text_errors():
         Grid.from_text("1 2 2\n0z\n")
 
 
+def test_grid_from_text_names_bad_character():
+    with pytest.raises(ValueError, match=r"bad cell character 'z' in row 1, column 2"):
+        Grid.from_text("2 3 2\n010\n10z\n")
+    with pytest.raises(ValueError, match=r"' ' in row 0, column 1"):
+        Grid.from_text("1 3 2\n0 1\n")
+
+
 def test_product_grid_pairs():
     v = four_letter_squarefree(ORDINARY, 6)
     g = product_grid(v, v)
@@ -182,15 +189,6 @@ def test_verify_matches_line_by_line_oracle():
                 (r, c, dr, dc, count)
             assert (rep.offset, rep.period, rep.exponent) == \
                 (offset, period, Fraction(run, period))
-
-
-def test_verify_threaded_agrees():
-    rng = random.Random(777)
-    for _ in range(6):
-        g = random_grid(rng, 8, 8, 2)
-        solo = verify_grid(g, 2, max_direction=3)
-        duo = verify_grid(g, 2, max_direction=3, threads=4)
-        assert solo == duo
 
 
 def test_product_of_odd_clean_words_verifies_clean():

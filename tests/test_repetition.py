@@ -24,11 +24,20 @@ from apavoid.repetition import (
     subword_set,
     word_exponent,
 )
-from apavoid.words import FoldingSequence, Word, four_letter_squarefree, paperfolding_prefix
+from apavoid import _backend, _kernels_py
+from apavoid.words import (
+    FoldingSequence,
+    Word,
+    binary_large_squarefree,
+    four_letter_squarefree,
+    paperfolding_prefix,
+    ternary_overlapfree,
+)
 from oracles import (
     ap_slice,
     exponent_of,
     first_report,
+    first_report_per_progression,
     max_exponent_scan,
     smallest_period_trial,
     square_periods_scan,
@@ -76,6 +85,24 @@ def test_max_exponent_goldens():
     assert max_exponent(paperfolding_prefix(ORDINARY, 512)) == 3
     assert max_exponent(four_letter_squarefree(ORDINARY, 4096)) == Fraction(2047, 1024)
     assert max_exponent(w("0")) == 1
+
+
+def test_max_exponent_matches_kernel():
+    rng = random.Random(4242)
+    words = [four_letter_squarefree(ORDINARY, 600), ternary_overlapfree(ORDINARY, 333),
+             Word(bytes(1), 2), Word(bytes(range(16)) * 3, 16)]
+    for _ in range(12):
+        n = rng.randrange(1, 601)
+        sym = bytearray(rng.randrange(rng.choice((2, 3, 4))) for _ in range(n))
+        for _ in range(rng.randrange(3)):
+            # a long periodic stretch, so the best run is not a short one
+            p, at = rng.randrange(1, 40), rng.randrange(n)
+            for i in range(at + p, min(n, at + p + rng.randrange(1, 120))):
+                sym[i] = sym[i - p]
+        words.append(Word(bytes(sym), 4))
+    for word in words:
+        m, p = _kernels_py.max_exponent_pair(word.symbols)
+        assert max_exponent(word) == Fraction(m, p), word.to_text()
 
 
 def test_max_exponent_size_cap():
@@ -252,6 +279,148 @@ def test_find_repetition_matches_oracle_hypothesis(sym, t, strict, mp):
         assert got is not None
         assert (got.progression.difference, got.progression.start, got.offset,
                 got.period, got.exponent) == (j, start, offset, period, Fraction(run, period))
+
+
+# ---------------------------------------------------------------- screened scan
+
+def _report_tuple(rep):
+    if rep is None:
+        return None
+    return (rep.progression.difference, rep.progression.start, rep.offset, rep.period,
+            int(rep.exponent * rep.period))
+
+
+def _assert_matches_loop(word, t, strict=False, min_period=1, differences=None):
+    differences = Differences.all() if differences is None else differences
+    got = find_repetition(word, t, strict=strict, min_period=min_period, differences=differences)
+    want = first_report_per_progression(word.symbols, _kernels_py.first_repetition, t, strict,
+                                        min_period, differences.candidates(len(word)))
+    assert _report_tuple(got) == want, (word.to_text(), t, strict, min_period, differences)
+    if got is not None:
+        assert got.progression.count == len(range(got.progression.start, len(word),
+                                                  got.progression.difference))
+    return got
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = _backend.first_repetition
+
+    def counted(s, *args):
+        calls.append(len(s))
+        return kernel(s, *args)
+
+    monkeypatch.setattr(_backend, "first_repetition", counted)
+    return calls
+
+
+def test_threshold_one_needs_no_run():
+    # at threshold 1 every factor of length p with smallest period p passes
+    assert find_repetition(w("0120"), 1).to_line() == \
+        "diff=1 start=0 offset=0 period=1 exponent=1/1"
+    assert find_repetition(w("0012"), 1, min_period=3).to_line() == \
+        "diff=1 start=0 offset=0 period=3 exponent=1/1"
+    assert find_repetition(w("0000"), 1, min_period=2) is None
+    assert find_repetition(w("0120"), 1, strict=True).to_line() == \
+        "diff=1 start=0 offset=0 period=3 exponent=4/3"
+    rng = random.Random(11)
+    for _ in range(40):
+        word = Word(bytes(rng.randrange(3) for _ in range(rng.randrange(1, 30))), 3)
+        for strict in (False, True):
+            for mp in (1, 2, 3, 5):
+                _assert_matches_loop(word, 1, strict, mp)
+
+
+def test_min_period_false_candidate_is_skipped(monkeypatch):
+    # 000000 marks difference 1 for period 3, but its only repetitions have
+    # period 1; the report is a square of period 3 on difference 2, start 1
+    calls = _count_kernel_calls(monkeypatch)
+    rep = _assert_matches_loop(w("000000110010110"), 2, min_period=3)
+    assert rep.to_line() == "diff=2 start=1 offset=1 period=3 exponent=2/1"
+    # the kernel ran on the false candidate, then from offset 1 of the class
+    assert calls == [15, 6]
+
+
+def test_min_period_false_candidates_random():
+    rng = random.Random(12)
+    for _ in range(60):
+        n = rng.randrange(8, 60)
+        sym = bytearray(rng.randrange(2) for _ in range(n))
+        at = rng.randrange(n)
+        sym[at : at + rng.randrange(4, 12)] = bytes(12)[: len(sym[at : at + 12])]
+        for mp in (2, 3, 4):
+            _assert_matches_loop(Word(bytes(sym[:n]), 2), 2, min_period=mp,
+                                 differences=rng.choice((Differences.all(), Differences.odd())))
+
+
+def test_threshold_beyond_machine_words():
+    # (2**62 + 1) / 2**61 is just above 2: a square falls short, 5/2 does not
+    t = Fraction(2**62 + 1, 2**61)
+    assert find_repetition(w("0101"), t) is None
+    assert find_repetition(w("00"), t) is None
+    assert find_repetition(w("01010"), t).to_line() == \
+        "diff=1 start=0 offset=0 period=2 exponent=5/2"
+    assert find_repetition(w("1000"), t).to_line() == \
+        "diff=1 start=0 offset=1 period=1 exponent=3/1"
+    rng = random.Random(13)
+    for _ in range(60):
+        word = Word(bytes(rng.randrange(2) for _ in range(rng.randrange(1, 40))), 2)
+        _assert_matches_loop(word, t, rng.random() < 0.5, rng.choice((1, 2)))
+
+
+def test_all_zero_word_calls_kernel_once(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    rep = find_repetition(Word(bytes(4096), 2), 2)
+    assert rep.to_line() == "diff=1 start=0 offset=0 period=1 exponent=4096/1"
+    assert calls == [4096]
+
+
+def _long_scan_words():
+    rng = random.Random(14)
+    builders = (four_letter_squarefree, paperfolding_prefix, ternary_overlapfree,
+                binary_large_squarefree)
+    for k in range(24):
+        n = rng.randrange(100, 401)
+        if k % 3 == 0:
+            sym = bytearray(builders[k // 3 % 4](ORDINARY, n).symbols)
+            if k % 2:
+                # one planted repetition somewhere in the word
+                i, d, p = rng.randrange(n), rng.randrange(1, 8), rng.randrange(1, 6)
+                for t in range(p, 3 * p):
+                    if i + t * d < n:
+                        sym[i + t * d] = sym[i + (t - p) * d]
+        else:
+            sym = bytearray(rng.randrange(rng.choice((3, 4, 8))) for _ in range(n))
+        yield Word(bytes(sym), 16), rng
+
+
+def test_scan_matches_per_progression_loop():
+    thresholds = (Fraction(2), Fraction(5, 2), Fraction(3), Fraction(7, 2))
+    for word, rng in _long_scan_words():
+        sel = rng.choice(("all", "odd", "exact"))
+        if sel == "exact":
+            diffs = Differences.exactly(rng.randrange(1, len(word) // 3))
+        else:
+            diffs = Differences.odd() if sel == "odd" else Differences.all()
+        _assert_matches_loop(word, rng.choice(thresholds), rng.random() < 0.5,
+                             rng.choice((1, 1, 2, 3)), diffs)
+
+
+def test_constructions_clean_on_their_differences(monkeypatch):
+    v = four_letter_squarefree(ORDINARY, 400)
+    assert _assert_matches_loop(v, 2, differences=Differences.odd()) is None
+    f = paperfolding_prefix(ORDINARY, 400)
+    assert _assert_matches_loop(f, 3, strict=True, differences=Differences.exactly(1)) is None
+    # with min_period 1 a clean word never reaches the kernel
+    calls = _count_kernel_calls(monkeypatch)
+    assert find_repetition(four_letter_squarefree(ORDINARY, 1024), 2,
+                           differences=Differences.odd()) is None
+    assert find_repetition(ternary_overlapfree(ORDINARY, 1024), 2, strict=True,
+                           differences=Differences.odd()) is None
+    assert find_repetition(v, Fraction(5, 2), differences=Differences.odd()) is None
+    # cubes 000 are there, but at 7/2 a period-1 run must be 3 long, not 2
+    assert find_repetition(f, Fraction(7, 2), differences=Differences.exactly(1)) is None
+    assert calls == []
 
 
 # ---------------------------------------------------------------- block repeats
