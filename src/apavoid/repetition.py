@@ -120,20 +120,9 @@ def ap_subsequence(w: Word, progression: Progression) -> Word:
 
 def smallest_period(w: Word) -> int:
     """Least p >= 1 with w[i] == w[i+p] throughout; length minus border."""
-    s = w.symbols
-    n = len(s)
-    if n == 0:
+    if len(w) == 0:
         raise ValueError("the empty word has no period")
-    pi = [0] * n
-    k = 0
-    for i in range(1, n):
-        c = s[i]
-        while k and s[k] != c:
-            k = pi[k - 1]
-        if s[k] == c:
-            k += 1
-        pi[i] = k
-    return n - pi[n - 1]
+    return _backend._smallest_period(w.symbols, 0)
 
 
 def word_exponent(w: Word) -> Fraction:

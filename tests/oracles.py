@@ -99,7 +99,7 @@ def first_report_per_progression(seq, first_repetition, threshold, strict=False,
 
     This is how the package scanned before it screened whole differences.
     ``first_repetition`` is a kernel with the signature of
-    ``apavoid._kernels_py.first_repetition``, passed in so that this module
+    ``apavoid._backend.first_repetition``, passed in so that this module
     imports nothing from apavoid; ``differences`` lists the differences to
     scan, ascending (default 1..n-1). Returns (diff, start, offset, period,
     run), like ``first_report``.
