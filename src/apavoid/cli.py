@@ -21,6 +21,12 @@ class UsageError(ValueError):
     pass
 
 
+# Node budget of a word search run without --length-cap. Such a search never
+# ends when the problem admits an infinite word; on the Carpi problem
+# (4 letters, squares on odd differences) this many nodes take about 10 s.
+SEARCH_NODE_BUDGET = 10**5
+
+
 def parse_threshold(text: str) -> tuple[Fraction, bool]:
     """Exact rational with optional trailing + for a strict comparison."""
     strict = text.endswith("+")
@@ -123,7 +129,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
         return 0
     problem = AvoidanceProblem(args.alphabet, threshold, diffs, strict=strict,
                                min_period=args.min_period, length_cap=args.length_cap)
-    result = backtrack_longest(problem, canonical=args.canonical)
+    budget = SEARCH_NODE_BUDGET if args.length_cap is None else None
+    result = backtrack_longest(problem, canonical=args.canonical, node_budget=budget)
+    if result.budget_exhausted:
+        print(f"budget_exhausted nodes={result.nodes_visited}")
+        print(f"apavoid: search stopped after {result.nodes_visited} nodes, the budget of a "
+              "search without --length-cap; the clean words may be unbounded, so pass "
+              "--length-cap to bound their length", file=sys.stderr)
+        return 1
     print(f"max_length={result.max_length}")
     if result.capped:
         print("cap_reached")
@@ -210,7 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", required=True)
     p.add_argument("--min-period", type=int, default=1)
     p.add_argument("--diffs", default="all")
-    p.add_argument("--length-cap", type=int, default=None)
+    p.add_argument("--length-cap", type=int, default=None,
+                   help="stop growing words at this length; without it the search "
+                        "stops after a fixed node budget")
     p.add_argument("--budget", type=int, default=None,
                    help="switch to bounded confirmation under this node budget")
     p.add_argument("--canonical", action="store_true",

@@ -7,6 +7,11 @@ plus every (dr, dc) with dr >= 1, |dc| <= the direction cap and
 gcd(dr, |dc|) = 1. Every such vector has an odd component, which is what
 lets product grids inherit cleanness from odd-difference progressions of
 their factors.
+
+The lines of one direction are progressions of one step in the row-major
+cells, so ``verify_grid`` screens a direction with one xor-and-find pass
+per period, as ``find_repetition`` screens a difference, and
+``grid_search`` keeps per-cell witness chains rather than rebuilding rays.
 """
 
 from __future__ import annotations
@@ -14,9 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from operator import itemgetter
+from typing import Iterator
 
 from . import _backend
-from .repetition import Differences, RepetitionReport, find_repetition
+from .repetition import (Differences, RepetitionReport, _difference_flagged, _min_run,
+                         find_repetition)
 from .words import MAX_ALPHABET, Word, _CHARS
 
 
@@ -134,29 +143,37 @@ def directions(max_direction: int) -> list[tuple[int, int]]:
     return out
 
 
+def _cells_ahead(rows: int, cols: int, r: int, c: int, dr: int, dc: int) -> int:
+    """Cells from (r, c) on, stepping (dr, dc) with dr >= 0, that stay inside."""
+    steps = [(rows - 1 - r) // dr] if dr else []
+    if dc:
+        steps.append((cols - 1 - c) // dc if dc > 0 else c // -dc)
+    return 1 + min(steps)
+
+
+def _direction_lines(rows: int, cols: int, dr: int, dc: int) -> Iterator[LineSpec]:
+    """The maximal lines of 2+ cells along one direction, heads row-major.
+
+    Heads are cells whose predecessor along the direction falls outside the
+    region.
+    """
+    for r in range(rows):
+        for c in range(cols):
+            if 0 <= r - dr < rows and 0 <= c - dc < cols:
+                continue  # not a head
+            count = _cells_ahead(rows, cols, r, c, dr, dc)
+            if count >= 2:
+                yield LineSpec(r, c, dr, dc, count)
+
+
 def enumerate_maximal_lines(rows: int, cols: int, max_direction: int) -> list[LineSpec]:
     """Every inextensible in-bounds segment of 2+ cells, one per undirected line.
 
-    Heads are cells whose predecessor along the direction falls outside the
-    region. Order: direction-major, then row-major among heads; this order
-    is part of the verification contract.
+    Order: direction-major, then row-major among heads; this order is part
+    of the verification contract.
     """
-    specs: list[LineSpec] = []
-    for dr, dc in directions(max_direction):
-        for r in range(rows):
-            for c in range(cols):
-                pr, pc = r - dr, c - dc
-                if 0 <= pr < rows and 0 <= pc < cols:
-                    continue  # not a head
-                count = 0
-                rr, cc = r, c
-                while 0 <= rr < rows and 0 <= cc < cols:
-                    count += 1
-                    rr += dr
-                    cc += dc
-                if count >= 2:
-                    specs.append(LineSpec(r, c, dr, dc, count))
-    return specs
+    return [spec for dr, dc in directions(max_direction)
+            for spec in _direction_lines(rows, cols, dr, dc)]
 
 
 def extract_line(g: Grid, spec: LineSpec) -> Word:
@@ -171,6 +188,22 @@ def extract_line(g: Grid, spec: LineSpec) -> Word:
     return Word(bytes(out), g.alphabet_size)
 
 
+def _checked_threshold(threshold, min_period: int) -> Fraction:
+    t = threshold if isinstance(threshold, Fraction) else Fraction(threshold)
+    if t < 1:
+        raise ValueError(f"threshold must be at least 1, not {t}")
+    if min_period < 1:
+        raise ValueError(f"min_period must be at least 1, not {min_period}")
+    return t
+
+
+def _edge_cut(rows: int, cols: int, dc: int, p: int) -> bytes:
+    """Row-major marks of the cells (r, c) whose column c + p*dc is off the grid."""
+    k = min(cols, p * abs(dc))
+    row = bytes(cols - k) + b"\1" * k if dc > 0 else b"\1" * k + bytes(cols - k)
+    return row * rows
+
+
 def verify_grid(
     g: Grid,
     threshold,
@@ -181,14 +214,34 @@ def verify_grid(
 ) -> tuple[LineSpec, RepetitionReport] | None:
     """First repetition on any maximal line, in enumeration order, or None.
 
-    Lines are plain words here, so the scan runs at difference 1.
+    The lines of direction (dr, dc) are progressions of step j = dr*cols + dc
+    in the row-major cells, so each direction is screened as a whole by
+    ``repetition._difference_flagged``, bounded by its longest line. A pair
+    (i, i + p*j) whose column c + p*dc is off the grid wraps onto another
+    line; those columns, marked on every row, are cut from the screen. A
+    chain of pairs one stride apart stays on one line too: where the cell j
+    before an uncut pair wraps to another row, its own column c' has
+    c' + p*dc off the grid, so its pair is cut. A direction the screen
+    passes is clean. A flagged one has its lines scanned in enumeration
+    order at difference 1, so the first report is the one a line-by-line
+    scan gives.
     """
+    t = _checked_threshold(threshold, min_period)
+    rows, cols = g.rows, g.cols
     diff1 = Differences.exactly(1)
-    for spec in enumerate_maximal_lines(g.rows, g.cols, max_direction):
-        rep = find_repetition(extract_line(g, spec), threshold, strict=strict,
-                              min_period=min_period, differences=diff1)
-        if rep is not None:
-            return spec, rep
+    for dr, dc in directions(max_direction):
+        longest = _cells_ahead(rows, cols, 0, 0 if dc >= 0 else cols - 1, dr, dc)
+        if longest < 2:
+            continue
+        cut = partial(_edge_cut, rows, cols, dc) if dc else None
+        if not _difference_flagged(g.cells, dr * cols + dc, t.numerator, t.denominator,
+                                   strict, min_period, longest, cut):
+            continue
+        for spec in _direction_lines(rows, cols, dr, dc):
+            rep = find_repetition(extract_line(g, spec), t, strict=strict,
+                                  min_period=min_period, differences=diff1)
+            if rep is not None:
+                return spec, rep
     return None
 
 
@@ -212,20 +265,31 @@ def grid_search(
 ) -> GridSearchOutcome:
     """Backtracking hunt for a side x side grid with every line clean.
 
-    Cells are assigned in row-major order, symbols ascending; after each
-    assignment only line suffixes ending at that cell are rechecked. The
-    default direction cap side-1 covers every segment that fits, so an
-    infeasible verdict rules the region out entirely.
+    Cells are assigned in row-major order, symbols ascending, and each
+    symbol tried is one node. The default direction cap side-1 covers every
+    segment that fits, so an infeasible verdict rules the region out
+    entirely.
+
+    Only repetitions ending at the new cell need a check. Each cell has
+    witness chains, built once: one per backward ray and period p, with
+    r = _min_run(p). A repetition of period p ending at the cell has r
+    agreements p steps apart along the ray; the last pairs the cell with
+    the cell p steps back, and the r - 1 before it lie among cells already
+    placed. So on entering a cell the search collects, over the chains
+    whose r - 1 agreements hold, the symbols p steps back, and keeps that
+    set until it backtracks out of the cell. With min_period 1 these are
+    exactly the symbols that close a repetition. With min_period > 1, or
+    with r = 0 (threshold 1, not strict), they are only candidates, and a
+    candidate is checked by ``_backend.clean_after_append`` on the rays.
     """
     if alphabet_size < 1 or alphabet_size > MAX_ALPHABET:
         raise ValueError(f"alphabet size must be in 1..{MAX_ALPHABET}")
     if side < 1:
         raise ValueError("region side must be at least 1")
-    t = threshold if isinstance(threshold, Fraction) else Fraction(threshold)
-    if t < 1:
-        raise ValueError("threshold must be at least 1")
+    t = _checked_threshold(threshold, min_period)
     if max_direction is None:
         max_direction = max(1, side - 1)
+    t_num, t_den = t.numerator, t.denominator
 
     total = side * side
     # backward rays: for each cell, the in-bounds run ending there per
@@ -244,9 +308,34 @@ def grid_search(
                     ray.reverse()
                     rays_at[r * side + c].append(tuple(ray))
 
+    # per cell: cells p back on chains with r = 1, chains with r >= 2 as
+    # (getter, getter, cell p back), and whether some chain has r = 0
+    lone: list[list[int]] = [[] for _ in range(total)]
+    chained: list[list[tuple]] = [[] for _ in range(total)]
+    open_cell = [False] * total
+    for cell, rays in enumerate(rays_at):
+        for ray in rays:
+            n = len(ray)
+            p = min_period
+            while True:
+                r = _min_run(p, t_num, t_den, strict)
+                if p + r > n:
+                    break
+                if r == 0:
+                    open_cell[cell] = True
+                    break
+                if r == 1:
+                    lone[cell].append(ray[n - 1 - p])
+                else:
+                    chained[cell].append((itemgetter(*ray[n - p - r : n - p - 1]),
+                                          itemgetter(*ray[n - r : n - 1]), ray[n - 1 - p]))
+                p += 1
+    exact = min_period == 1 and not any(open_cell)
+    every_symbol = set(range(alphabet_size))
+
     values = bytearray(total)
     next_sym = [0] * total
-    t_num, t_den = t.numerator, t.denominator
+    banned: list[set[int]] = [set()] * total
     nodes = 0
     depth = 0
     while True:
@@ -265,16 +354,22 @@ def grid_search(
             return GridSearchOutcome("budget_exhausted", side, nodes)
         nodes += 1
         values[depth] = sym
-        ok = True
-        for ray in rays_at[depth]:
-            if not _backend.clean_after_append(bytes(map(values.__getitem__, ray)),
-                                               t_num, t_den, strict, min_period):
-                ok = False
-                break
-        if ok:
-            depth += 1
-        else:
+        if sym in banned[depth] and (exact or not all(
+                _backend.clean_after_append(bytes(map(values.__getitem__, ray)),
+                                            t_num, t_den, strict, min_period)
+                for ray in rays_at[depth])):
             next_sym[depth] += 1
+            continue
+        depth += 1
+        if depth < total:
+            if open_cell[depth]:
+                banned[depth] = every_symbol
+            else:
+                ban = {values[b] for b in lone[depth]}
+                for same, again, back in chained[depth]:
+                    if same(values) == again(values):
+                        ban.add(values[back])
+                banned[depth] = ban
 
 
 # One readily distinguishable color per symbol, fixed so exported images

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import _backend
 from .words import FoldingSequence, Word, folding_bits_needed, paperfolding_prefix
@@ -183,7 +183,8 @@ def max_exponent(w: Word, *, size_cap: int = 8192) -> Fraction:
 
 
 def _difference_flagged(s: bytes, j: int, t_num: int, t_den: int, strict: bool,
-                        min_period: int) -> bool:
+                        min_period: int, longest: int | None = None,
+                        cut: Callable[[int], bytes] | None = None) -> bool:
     """Might some progression of difference j hold a repetition?
 
     For each period p, the word is xored with itself shifted by p*j; a zero
@@ -192,9 +193,19 @@ def _difference_flagged(s: bytes, j: int, t_num: int, t_den: int, strict: bool,
     i >= (r - 1)*j exactly where r such pairs end, one stride apart, in one
     class. A repetition of smallest period q >= min_period leaves that mark
     at p = q, so a difference that is never flagged is clean.
+
+    ``longest`` bounds the length of one progression (default: a class of
+    the whole word). When the progressions are shorter than the classes, as
+    the lines of a grid in its row-major cells are, ``cut(p)`` returns bytes
+    (at least n - p*j of them) that are nonzero at each i whose pair
+    i + p*j lies on another progression. They are or-ed into the xor, so
+    those pairs never agree. The screen stays exact when every chain of
+    uncut pairs one stride apart lies on one progression; ``lattice``
+    shows this holds for the lines of a grid.
     """
     n = len(s)
-    longest = -(-n // j)
+    if longest is None:
+        longest = -(-n // j)
     p = min_period
     while True:
         r = _min_run(p, t_num, t_den, strict)
@@ -204,6 +215,8 @@ def _difference_flagged(s: bytes, j: int, t_num: int, t_den: int, strict: bool,
             return True
         size = n - p * j
         e = int.from_bytes(s[:size], "big") ^ int.from_bytes(s[p * j :], "big")
+        if cut is not None:
+            e |= int.from_bytes(cut(p)[:size], "big")
         covered = 1
         while covered < r:
             step = min(covered, r - covered)

@@ -45,13 +45,15 @@ class AvoidanceProblem:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Exact extremal answer, unless capped (then maximal_words is empty)."""
+    """Exact extremal answer, unless capped or out of budget (then
+    maximal_words is empty)."""
 
     max_length: int
     maximal_words: tuple[Word, ...]
     nodes_visited: int
     canonicalized: bool
     capped: bool = False
+    budget_exhausted: bool = False
 
 
 @dataclass(frozen=True)
@@ -139,18 +141,20 @@ def _expand_permutations(words: list[bytes], k: int) -> set[bytes]:
 
 
 def backtrack_longest(problem: AvoidanceProblem, *, canonical: bool = False,
-                      validate: bool = True) -> SearchResult:
+                      validate: bool = True, node_budget: int | None = None) -> SearchResult:
     """Exact longest clean words for the problem.
 
     With canonical=True the tree is restricted to words whose symbols first
     appear in increasing order, then the result is expanded back over all
     alphabet permutations; the answer is identical, the tree smaller.
-    Set problem.length_cap when the predicate admits an infinite word,
-    otherwise this will not terminate.
+    Set problem.length_cap or node_budget when the predicate admits an
+    infinite word, otherwise this will not terminate. A search that runs
+    out of nodes reports budget_exhausted, with nodes_visited equal to the
+    budget.
     """
-    best_len, best, nodes, capped, _ = _run_search(problem, canonical, None)
-    if capped:
-        return SearchResult(best_len, (), nodes, canonical, True)
+    best_len, best, nodes, capped, budget_hit = _run_search(problem, canonical, node_budget)
+    if capped or budget_hit:
+        return SearchResult(best_len, (), nodes, canonical, capped, budget_hit)
     raw = set(best) if not canonical else _expand_permutations(best, problem.alphabet_size)
     words = tuple(Word(b, problem.alphabet_size) for b in sorted(raw))
     if validate:

@@ -133,14 +133,18 @@ def square_periods_scan(seq, max_period):
     return found
 
 
-def grid_lines(rows, cols, max_direction):
-    """All maximal in-bounds segments, direction-major then row-major."""
-    dirs = [(0, 1)] + [(dr, dc)
+def grid_directions(max_direction):
+    """Primitive directions up to reversal, in the package's order."""
+    return [(0, 1)] + [(dr, dc)
                        for dr in range(1, max_direction + 1)
                        for dc in range(-max_direction, max_direction + 1)
                        if __import__("math").gcd(dr, abs(dc)) == 1]
+
+
+def grid_lines(rows, cols, max_direction):
+    """All maximal in-bounds segments, direction-major then row-major."""
     lines = []
-    for (dr, dc) in dirs:
+    for (dr, dc) in grid_directions(max_direction):
         for r in range(rows):
             for c in range(cols):
                 pr, pc = r - dr, c - dc
@@ -155,3 +159,78 @@ def grid_lines(rows, cols, max_direction):
                 if count >= 2:
                     lines.append((r, c, dr, dc, count))
     return lines
+
+
+def first_line_report_per_line(cells, rows, cols, first_repetition, threshold, strict=False,
+                               min_period=1, max_direction=8):
+    """The first report of a grid verification as one kernel call per line.
+
+    This is how the package verified grids before it screened whole
+    directions: every maximal line of ``grid_lines``, in order, through
+    ``first_repetition`` (the signature of ``apavoid._backend.first_repetition``).
+    ``cells`` are row-major. Returns ((row, col, drow, dcol, count),
+    (offset, period, run)) or None.
+    """
+    threshold = Fraction(threshold)
+    for line in grid_lines(rows, cols, max_direction):
+        r, c, dr, dc, count = line
+        seq = bytes(cells[(r + t * dr) * cols + c + t * dc] for t in range(count))
+        hit = first_repetition(seq, threshold.numerator, threshold.denominator, strict,
+                               min_period)
+        if hit is not None:
+            return line, hit
+    return None
+
+
+def grid_search_per_ray(alphabet_size, threshold, side, clean_after_append, strict=False,
+                        min_period=1, max_direction=None, node_budget=10**8):
+    """A square-grid search that rebuilds every ray at every node.
+
+    This is how the package searched grids before it kept witness chains:
+    cells in row-major order, symbols ascending, one node per symbol tried,
+    and ``clean_after_append`` (the signature of
+    ``apavoid._backend.clean_after_append``) on the backward ray of each
+    direction through the new cell. Returns (status, nodes, cells), cells
+    being None unless the status is "satisfiable".
+    """
+    threshold = Fraction(threshold)
+    t_num, t_den = threshold.numerator, threshold.denominator
+    if max_direction is None:
+        max_direction = max(1, side - 1)
+    total = side * side
+    rays_at = [[] for _ in range(total)]
+    for dr, dc in grid_directions(max_direction):
+        for r in range(side):
+            for c in range(side):
+                ray = []
+                rr, cc = r, c
+                while 0 <= rr < side and 0 <= cc < side:
+                    ray.append(rr * side + cc)
+                    rr -= dr
+                    cc -= dc
+                if len(ray) >= 2:
+                    rays_at[r * side + c].append(ray[::-1])
+    values = bytearray(total)
+    next_sym = [0] * total
+    nodes = 0
+    depth = 0
+    while True:
+        if depth == total:
+            return "satisfiable", nodes, bytes(values)
+        sym = next_sym[depth]
+        if sym >= alphabet_size:
+            next_sym[depth] = 0
+            depth -= 1
+            if depth < 0:
+                return "infeasible", nodes, None
+            next_sym[depth] += 1
+            continue
+        if nodes >= node_budget:
+            return "budget_exhausted", nodes, None
+        nodes += 1
+        values[depth] = sym
+        if all(clean_after_append(bytes(values[i] for i in ray), t_num, t_den, strict,
+                                  min_period) for ray in rays_at[depth]):
+            depth += 1
+        else:
+            next_sym[depth] += 1

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from apavoid import cli
 from apavoid.cli import main, parse_diffs, parse_threshold
 from apavoid.lattice import export_ppm, product_grid
 from apavoid.words import FoldingSequence, four_letter_squarefree
@@ -146,6 +147,22 @@ def test_search_budget_modes(capsys):
     code, out, _ = run_cli(capsys, "search", "--alphabet", "3", "--threshold", "2",
                            "--diffs", "1", "--budget", "500")
     assert code == 1 and out == "budget_exhausted nodes=500\n"
+
+
+def test_search_without_cap_stops_at_default_budget(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "SEARCH_NODE_BUDGET", 300)
+    for extra in ((), ("--canonical",)):
+        code, out, err = run_cli(capsys, "search", "--alphabet", "4", "--threshold", "2",
+                                 "--diffs", "odd", *extra)
+        assert code == 1 and out == "budget_exhausted nodes=300\n"
+        assert "--length-cap" in err
+    # searches that end inside the budget, and capped ones, are unchanged
+    code, out, _ = run_cli(capsys, "search", "--alphabet", "2", "--threshold", "3",
+                           "--diffs", "odd")
+    assert code == 0 and out.splitlines()[0] == "max_length=11"
+    code, out, _ = run_cli(capsys, "search", "--alphabet", "4", "--threshold", "2",
+                           "--diffs", "odd", "--length-cap", "8")
+    assert code == 1 and out == "max_length=8\ncap_reached\n"
 
 
 def test_search_usage_errors(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from apavoid import _backend, lattice
 from apavoid.lattice import (
     DEFAULT_PALETTE,
     Grid,
@@ -16,11 +17,13 @@ from apavoid.lattice import (
     product_grid,
     verify_grid,
 )
-from apavoid.repetition import Differences, Progression, ap_subsequence
+from apavoid.repetition import Differences, Progression, ap_subsequence, find_repetition
 from apavoid.words import FoldingSequence, Word, four_letter_squarefree
-from oracles import first_report, grid_lines
+from oracles import first_line_report_per_line, first_report, grid_lines, grid_search_per_ray
 
 ORDINARY = FoldingSequence.ordinary()
+THRESHOLDS = (Fraction(1), Fraction(3, 2), Fraction(7, 4), Fraction(2), Fraction(5, 2),
+              Fraction(3), Fraction(2**62 + 1, 2**61))
 
 
 def random_grid(rng, rows, cols, k):
@@ -191,6 +194,71 @@ def test_verify_matches_line_by_line_oracle():
                 (offset, period, Fraction(run, period))
 
 
+def random_verify_case(rng, case):
+    """A grid for the differential tests: 1 x n, n x 1 or rectangular. Two
+    in three are product grids, clean on every line, with a repeated run
+    copied along one line of a random direction, so that the first
+    repetition can sit on any direction; the rest have random cells."""
+    shape = case % 4
+    rows = 1 if shape == 0 else rng.randrange(1, 15)
+    cols = 1 if shape == 1 else rng.randrange(1, 15)
+    if case % 3 and rows * cols > 1:
+        folds = FoldingSequence(tuple(rng.randrange(2) for _ in range(6)))
+        g = product_grid(four_letter_squarefree(folds, rows), four_letter_squarefree(folds, cols))
+        cells = bytearray(g.cells)
+        line = rng.choice(enumerate_maximal_lines(rows, cols, 8))
+        at = [(line.row + t * line.drow) * cols + line.col + t * line.dcol
+              for t in range(line.count)]
+        p = rng.randrange(1, line.count)
+        start = rng.randrange(line.count - p)
+        for t in range(start + p, rng.randrange(start + p, line.count) + 1):
+            cells[at[t]] = cells[at[t - p]]
+        return Grid(rows, cols, bytes(cells), 16)
+    k = rng.randrange(1, 17)
+    used = rng.randrange(1, k + 1)
+    return Grid(rows, cols, bytes(rng.randrange(used) for _ in range(rows * cols)), k)
+
+
+def test_verify_matches_per_line_loop():
+    rng = random.Random(2026)
+    hits = 0
+    hit_directions = set()
+    for case in range(1000):
+        g = random_verify_case(rng, case)
+        t = rng.choice(THRESHOLDS)
+        strict = rng.random() < 0.5
+        mp = rng.randrange(1, 4)
+        cap = rng.choice((1, 2, 3, 8))
+        got = verify_grid(g, t, strict=strict, min_period=mp, max_direction=cap)
+        want = first_line_report_per_line(g.cells, g.rows, g.cols, _backend.first_repetition,
+                                          t, strict, mp, cap)
+        if want is None:
+            assert got is None, (g, t, strict, mp, cap)
+            continue
+        hits += 1
+        line, (offset, period, run) = want
+        hit_directions.add(line[2:4])
+        spec, rep = got
+        assert (spec.row, spec.col, spec.drow, spec.dcol, spec.count) == line
+        assert rep.progression == Progression(0, 1, line[4])
+        assert (rep.offset, rep.period, rep.exponent) == (offset, period, Fraction(run, period))
+    assert 200 < hits < 800 and len(hit_directions) >= 8
+
+
+def test_square_across_a_row_edge_is_not_a_line(monkeypatch):
+    # "9 10 | 9 10" is a square of the row-major cells at difference 1, but
+    # it wraps from row 0 to row 1; the wrapped pairs are 9 columns apart,
+    # beyond the direction cap, so no line holds a repetition
+    g = Grid(2, 11, bytes([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                           9, 10, 11, 12, 13, 14, 15, 11, 12, 13, 14]), 16)
+    assert find_repetition(Word(g.cells, 16), 2, differences=Differences.exactly(1)) is not None
+    scanned = []
+    monkeypatch.setattr(lattice, "find_repetition",
+                        lambda *a, **k: scanned.append(a) or find_repetition(*a, **k))
+    assert verify_grid(g, 2) is None
+    assert scanned == []
+
+
 def test_product_of_odd_clean_words_verifies_clean():
     # any primitive direction has an odd component, so one factor of every
     # line square would be a square on an odd difference of v
@@ -247,6 +315,41 @@ def test_search_validation():
         grid_search(2, Fraction(1, 2), 2)
     with pytest.raises(ValueError):
         grid_search(2, 2, 0)
+
+
+def test_threshold_and_min_period_checked_up_front():
+    with pytest.raises(ValueError, match=r"min_period must be at least 1, not 0"):
+        grid_search(3, 2, 2, min_period=0)
+    with pytest.raises(ValueError, match=r"min_period must be at least 1, not -1"):
+        grid_search(3, 2, 2, min_period=-1)
+    with pytest.raises(ValueError, match=r"threshold must be at least 1, not 1/2"):
+        grid_search(3, Fraction(1, 2), 2)
+    one = Grid(1, 1, b"\x00", 2)
+    with pytest.raises(ValueError, match=r"threshold must be at least 1, not 1/2"):
+        verify_grid(one, Fraction(1, 2))
+    with pytest.raises(ValueError, match=r"min_period must be at least 1, not 0"):
+        verify_grid(one, 2, min_period=0)
+
+
+def test_search_matches_per_ray_loop():
+    rng = random.Random(1871)
+    statuses = {}
+    for _ in range(1500):
+        k = rng.randrange(1, 9)
+        side = rng.randrange(1, 6)
+        t = rng.choice(THRESHOLDS)
+        strict = rng.random() < 0.5
+        mp = rng.randrange(1, 4)
+        cap = rng.choice((None, 1, 2, 3, 8))
+        budget = int(10 ** rng.uniform(0, 3.3))
+        out = grid_search(k, t, side, strict=strict, min_period=mp, max_direction=cap,
+                          node_budget=budget)
+        want = grid_search_per_ray(k, t, side, _backend.clean_after_append, strict, mp, cap,
+                                   budget)
+        got = (out.status, out.nodes, out.witness.cells if out.witness else None)
+        assert got == want, (k, t, side, strict, mp, cap, budget)
+        statuses[out.status] = statuses.get(out.status, 0) + 1
+    assert min(statuses.values()) >= 75 and len(statuses) == 3, statuses
 
 
 # ---------------------------------------------------------------- export
