@@ -196,8 +196,8 @@ def test_verify_matches_line_by_line_oracle():
 
 def random_verify_case(rng, case):
     """A grid for the differential tests: 1 x n, n x 1 or rectangular. Two
-    in three are product grids, clean on every line, with a repeated run
-    copied along one line of a random direction, so that the first
+    in three are product grids, squarefree on every line, with a repeated
+    run copied along one line of a random direction, so that the first
     repetition can sit on any direction; the rest have random cells."""
     shape = case % 4
     rows = 1 if shape == 0 else rng.randrange(1, 15)
