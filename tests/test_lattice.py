@@ -167,33 +167,6 @@ def test_extract_line_bounds():
 
 # ---------------------------------------------------------------- verification
 
-def test_verify_matches_line_by_line_oracle():
-    rng = random.Random(404)
-    for _ in range(15):
-        g = random_grid(rng, 6, 6, rng.choice((2, 3, 4)))
-        t = rng.choice((Fraction(2), Fraction(5, 2), Fraction(3)))
-        strict = rng.random() < 0.5
-        mp = rng.choice((1, 2))
-        got = verify_grid(g, t, strict=strict, min_period=mp, max_direction=4)
-        want = None
-        for line in grid_lines(6, 6, 4):
-            r, c, dr, dc, count = line
-            seq = list(extract_line(g, LineSpec(r, c, dr, dc, count)))
-            hit = first_report(seq, t, strict, mp, exact_diff=1)
-            if hit is not None:
-                want = (line, hit)
-                break
-        if want is None:
-            assert got is None
-        else:
-            (r, c, dr, dc, count), (j, start, offset, period, run) = want
-            spec, rep = got
-            assert (spec.row, spec.col, spec.drow, spec.dcol, spec.count) == \
-                (r, c, dr, dc, count)
-            assert (rep.offset, rep.period, rep.exponent) == \
-                (offset, period, Fraction(run, period))
-
-
 def random_verify_case(rng, case):
     """A grid for the differential tests: 1 x n, n x 1 or rectangular. Two
     in three are product grids, squarefree on every line, with a repeated
@@ -219,19 +192,38 @@ def random_verify_case(rng, case):
     return Grid(rows, cols, bytes(rng.randrange(used) for _ in range(rows * cols)), k)
 
 
-def test_verify_matches_per_line_loop():
+def brute_first_repetition(seq, t_num, t_den, strict, min_period):
+    """``_backend.first_repetition`` by brute force over every factor."""
+    hit = first_report(list(seq), Fraction(t_num, t_den), strict, min_period, exact_diff=1)
+    return None if hit is None else hit[2:]
+
+
+def verify_cases():
+    """(grid, kernel for the per-line loop, threshold, strict, min_period, cap).
+
+    Fifteen random 6 x 6 grids are held to the brute-force kernel; the
+    thousand grids of ``random_verify_case`` to the package's kernel.
+    """
+    rng = random.Random(404)
+    for _ in range(15):
+        g = random_grid(rng, 6, 6, rng.choice((2, 3, 4)))
+        t = rng.choice((Fraction(2), Fraction(5, 2), Fraction(3)))
+        yield g, brute_first_repetition, t, rng.random() < 0.5, rng.choice((1, 2)), 4
     rng = random.Random(2026)
-    hits = 0
-    hit_directions = set()
     for case in range(1000):
         g = random_verify_case(rng, case)
         t = rng.choice(THRESHOLDS)
         strict = rng.random() < 0.5
         mp = rng.randrange(1, 4)
-        cap = rng.choice((1, 2, 3, 8))
+        yield g, _backend.first_repetition, t, strict, mp, rng.choice((1, 2, 3, 8))
+
+
+def test_verify_matches_line_by_line_oracle():
+    hits = 0
+    hit_directions = set()
+    for g, kernel, t, strict, mp, cap in verify_cases():
         got = verify_grid(g, t, strict=strict, min_period=mp, max_direction=cap)
-        want = first_line_report_per_line(g.cells, g.rows, g.cols, _backend.first_repetition,
-                                          t, strict, mp, cap)
+        want = first_line_report_per_line(g.cells, g.rows, g.cols, kernel, t, strict, mp, cap)
         if want is None:
             assert got is None, (g, t, strict, mp, cap)
             continue
