@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from operator import itemgetter
 from typing import Iterator
 
 from . import _backend
-from .repetition import (Differences, RepetitionReport, _difference_flagged, _min_run,
-                         find_repetition)
+from .repetition import (Differences, RepetitionReport, _checked_threshold,
+                         _difference_flagged, _min_run, find_repetition)
 from .words import MAX_ALPHABET, Word, _CHARS
 
 
@@ -188,15 +187,6 @@ def extract_line(g: Grid, spec: LineSpec) -> Word:
     return Word(bytes(out), g.alphabet_size)
 
 
-def _checked_threshold(threshold, min_period: int) -> Fraction:
-    t = threshold if isinstance(threshold, Fraction) else Fraction(threshold)
-    if t < 1:
-        raise ValueError(f"threshold must be at least 1, not {t}")
-    if min_period < 1:
-        raise ValueError(f"min_period must be at least 1, not {min_period}")
-    return t
-
-
 def _edge_cut(rows: int, cols: int, dc: int, p: int) -> bytes:
     """Row-major marks of the cells (r, c) whose column c + p*dc is off the grid."""
     k = min(cols, p * abs(dc))
@@ -222,9 +212,9 @@ def verify_grid(
     chain of pairs one stride apart stays on one line too: where the cell j
     before an uncut pair wraps to another row, its own column c' has
     c' + p*dc off the grid, so its pair is cut. A direction the screen
-    passes is clean. A flagged one has its lines scanned in enumeration
-    order at difference 1, so the first report is the one a line-by-line
-    scan gives.
+    passes is clean. A flagged one has its lines, each the slice of the
+    cells from its head in steps of j, scanned in enumeration order at
+    difference 1, so the first report is the one a line-by-line scan gives.
     """
     t = _checked_threshold(threshold, min_period)
     rows, cols = g.rows, g.cols
@@ -233,13 +223,16 @@ def verify_grid(
         longest = _cells_ahead(rows, cols, 0, 0 if dc >= 0 else cols - 1, dr, dc)
         if longest < 2:
             continue
+        j = dr * cols + dc
         cut = partial(_edge_cut, rows, cols, dc) if dc else None
-        if not _difference_flagged(g.cells, dr * cols + dc, t.numerator, t.denominator,
+        if not _difference_flagged(g.cells, j, t.numerator, t.denominator,
                                    strict, min_period, longest, cut):
             continue
         for spec in _direction_lines(rows, cols, dr, dc):
-            rep = find_repetition(extract_line(g, spec), t, strict=strict,
-                                  min_period=min_period, differences=diff1)
+            head = spec.row * cols + spec.col
+            line = Word(g.cells[head : head + (spec.count - 1) * j + 1 : j], g.alphabet_size)
+            rep = find_repetition(line, t, strict=strict, min_period=min_period,
+                                  differences=diff1)
             if rep is not None:
                 return spec, rep
     return None

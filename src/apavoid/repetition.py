@@ -146,6 +146,16 @@ def _min_run(p: int, t_num: int, t_den: int, strict: bool) -> int:
     return excess // t_den + 1 if strict else -(-excess // t_den)
 
 
+def _checked_threshold(threshold: Fraction | int | str, min_period: int) -> Fraction:
+    """The threshold as a Fraction, once it and min_period are known to be at least 1."""
+    t = threshold if isinstance(threshold, Fraction) else Fraction(threshold)
+    if t < 1:
+        raise ValueError(f"threshold must be at least 1, not {t}")
+    if min_period < 1:
+        raise ValueError(f"min_period must be at least 1, not {min_period}")
+    return t
+
+
 def max_exponent(w: Word, *, size_cap: int = 8192) -> Fraction:
     """Largest exponent over all nonempty factors of w.
 
@@ -274,11 +284,7 @@ def find_repetition(
     for. With min_period > 1 a candidate can be false; the kernel then finds
     nothing and the walk moves on.
     """
-    t = threshold if isinstance(threshold, Fraction) else Fraction(threshold)
-    if t < 1:
-        raise ValueError("threshold must be at least 1")
-    if min_period < 1:
-        raise ValueError("min_period must be at least 1")
+    t = _checked_threshold(threshold, min_period)
     if differences is None:
         differences = Differences.all()
     t_num, t_den = t.numerator, t.denominator

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from . import _backend
-from .repetition import Differences, find_repetition
+from .repetition import Differences, _checked_threshold, find_repetition
 from .words import MAX_ALPHABET, Word
 
 
@@ -30,15 +30,10 @@ class AvoidanceProblem:
     length_cap: int | None = None
 
     def __post_init__(self) -> None:
-        t = self.threshold
-        if not isinstance(t, Fraction):
-            object.__setattr__(self, "threshold", Fraction(t))
         if not 2 <= self.alphabet_size <= MAX_ALPHABET:
             raise ValueError(f"alphabet size must be in 2..{MAX_ALPHABET}")
-        if self.threshold < 1:
-            raise ValueError("threshold must be at least 1")
-        if self.min_period < 1:
-            raise ValueError("min_period must be at least 1")
+        object.__setattr__(self, "threshold",
+                           _checked_threshold(self.threshold, self.min_period))
         if self.length_cap is not None and self.length_cap < 0:
             raise ValueError("length cap must be nonnegative")
 
@@ -141,7 +136,7 @@ def _expand_permutations(words: list[bytes], k: int) -> set[bytes]:
 
 
 def backtrack_longest(problem: AvoidanceProblem, *, canonical: bool = False,
-                      validate: bool = True, node_budget: int | None = None) -> SearchResult:
+                      node_budget: int | None = None) -> SearchResult:
     """Exact longest clean words for the problem.
 
     With canonical=True the tree is restricted to words whose symbols first
@@ -150,15 +145,15 @@ def backtrack_longest(problem: AvoidanceProblem, *, canonical: bool = False,
     Set problem.length_cap or node_budget when the predicate admits an
     infinite word, otherwise this will not terminate. A search that runs
     out of nodes reports budget_exhausted, with nodes_visited equal to the
-    budget.
+    budget. Every word of an exact answer is re-checked, clean and maximal,
+    before it is returned.
     """
     best_len, best, nodes, capped, budget_hit = _run_search(problem, canonical, node_budget)
     if capped or budget_hit:
         return SearchResult(best_len, (), nodes, canonical, capped, budget_hit)
     raw = set(best) if not canonical else _expand_permutations(best, problem.alphabet_size)
     words = tuple(Word(b, problem.alphabet_size) for b in sorted(raw))
-    if validate:
-        _validate_maximal(words, problem)
+    _validate_maximal(words, problem)
     return SearchResult(best_len, words, nodes, canonical, False)
 
 

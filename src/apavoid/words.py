@@ -231,17 +231,6 @@ def relabel(w: Word, mapping: Mapping[int, int]) -> Word:
     return Word(symbols, max(mapping.values()) + 1)
 
 
-def recode_even_positions(w: Word) -> Word:
-    # Input spells a binary word with 1 for zeros and 4 for ones. Odd
-    # positions survive; position 4n becomes 2 and position 4n+2 becomes 3.
-    if any(s not in (1, 4) for s in w.symbols):
-        raise ValueError("expected a word over symbols 1 and 4")
-    out = bytearray(w.symbols)
-    for i in range(0, len(out), 2):
-        out[i] = 2 if i % 4 == 0 else 3
-    return Word(bytes(out), 5)
-
-
 # The Carpi substitution in its customary odd-digit spelling. Iterated from
 # seed 5 it opens 51535173; renaming 5,1,3,7 to 1,2,3,4 turns the tail after
 # the first letter into the four-letter squarefree word below.
@@ -262,13 +251,14 @@ def carpi_word(n: int) -> Word:
 def four_letter_squarefree(folds: FoldingSequence, n: int) -> Word:
     """The four-letter companion of the paperfolding word, 0-based.
 
-    Built by stamping the residue pattern onto even positions of the
-    relabeled paperfolding prefix. With ordinary instructions the first
-    sixteen letters spell 2131243121342431 in 1234 notation.
+    Odd positions copy the paperfolding prefix f, spelled 0 and 3; even
+    positions are stamped with the alternating pattern 1, 2 (4n gets 1,
+    4n+2 gets 2). With ordinary instructions the first sixteen letters
+    spell 2131243121342431 in 1234 notation.
     """
-    f = paperfolding_prefix(folds, n)
-    spelled = relabel(f, {0: 1, 1: 4})
-    return relabel(recode_even_positions(spelled), {1: 0, 2: 1, 3: 2, 4: 3})
+    v = bytearray(paperfolding_prefix(folds, n).symbols.replace(b"\1", b"\3"))
+    v[::2] = (b"\1\2" * n)[: (n + 1) // 2]
+    return Word(bytes(v), 4)
 
 
 def ternary_overlapfree(folds: FoldingSequence, n: int) -> Word:

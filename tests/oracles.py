@@ -234,3 +234,70 @@ def grid_search_per_ray(alphabet_size, threshold, side, clean_after_append, stri
             depth += 1
         else:
             next_sym[depth] += 1
+
+
+def _word_differences(kind, value, n):
+    """Differences scanned on a word of length n, as ``Differences(kind, value)`` picks them."""
+    if kind == "exact":
+        return [value] if value <= n - 1 else []
+    top = n - 1 if value is None else min(n - 1, value)
+    return range(1, top + 1, 2 if kind == "odd" else 1)
+
+
+def word_search_per_class(alphabet_size, threshold, clean_after_append, strict=False,
+                          min_period=1, differences=("all", None), canonical=False,
+                          length_cap=None, node_budget=None):
+    """A word search that re-reads one progression class per difference at every node.
+
+    It is the reference for ``apavoid.search``'s engine, written as that
+    engine was first written: depth first, symbols ascending, one node per
+    symbol tried, and
+    ``clean_after_append`` (the signature of
+    ``apavoid._backend.clean_after_append``) on the class through the new
+    last position, for each difference that ``differences`` selects.
+    ``differences`` is (kind, value) as in ``apavoid.repetition.Differences``.
+    With ``canonical`` a symbol is tried only if it is at most one more than
+    the largest used so far. Returns (max_length, longest words as bytes in
+    the order found, nodes, capped, budget_exhausted).
+    """
+    threshold = Fraction(threshold)
+    t_num, t_den = threshold.numerator, threshold.denominator
+    kind, value = differences
+
+    def extend_clean(cand):
+        n = len(cand)
+        last = n - 1
+        return all(clean_after_append(cand[last % j :: j], t_num, t_den, strict, min_period)
+                   for j in _word_differences(kind, value, n))
+
+    nodes = 0
+    best_len = 0
+    best = [b""]
+    capped = False
+    budget_hit = False
+    # frame: (prefix, distinct symbols used, next symbol to try)
+    stack = [(b"", 0, 0)]
+    while stack:
+        prefix, used, sym = stack.pop()
+        limit = min(used + 1, alphabet_size) if canonical else alphabet_size
+        if sym >= limit:
+            continue
+        stack.append((prefix, used, sym + 1))
+        if node_budget is not None and nodes >= node_budget:
+            budget_hit = True
+            break
+        nodes += 1
+        cand = prefix + bytes([sym])
+        if not extend_clean(cand):
+            continue
+        n = len(cand)
+        if n > best_len:
+            best_len = n
+            best = [cand]
+        elif n == best_len:
+            best.append(cand)
+        if length_cap is not None and n >= length_cap:
+            capped = True
+        else:
+            stack.append((cand, used + (1 if sym == used else 0), 0))
+    return best_len, best, nodes, capped, budget_hit

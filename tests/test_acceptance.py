@@ -1,8 +1,8 @@
 """Acceptance suite: one test per numbered criterion, one printed verdict line each.
 
 Every criterion asserts exact frozen values and its stated wall-clock budget.
-The long optional runs (criterion 13's open-ended searches) only execute when
-APAVOID_LONG is set.
+The long optional run (criterion 13's seven-letter grid escalation) only
+executes when APAVOID_LONG is set.
 """
 
 import hashlib
@@ -257,7 +257,6 @@ def test_criterion_13_grid_infeasibility():
         assert grid_search(3, 2, 2, node_budget=10**8).status == "infeasible"
 
 
-@pytest.mark.skipif(not LONG_RUNS, reason="set APAVOID_LONG=1 to run")
 def test_criterion_13_long_threshold_confirmation():
     with criterion(13, "7/4-powers are unavoidable on odd APs over 4 letters", 600):
         verdict = confirm_unavoidable(4, Fraction(7, 4), Differences.odd(),

@@ -209,9 +209,11 @@ def test_report_witness_is_consistent():
 
 
 def test_threshold_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"threshold must be at least 1, not 1/2"):
         find_repetition(w("01"), Fraction(1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"threshold must be at least 1, not 1/2"):
+        find_repetition(w("01"), "1/2")
+    with pytest.raises(ValueError, match=r"min_period must be at least 1, not 0"):
         find_repetition(w("01"), 2, min_period=0)
 
 

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
+from apavoid._backend import clean_after_append
 from apavoid.repetition import Differences, find_repetition
 from apavoid.search import (
     AvoidanceProblem,
@@ -13,6 +15,9 @@ from apavoid.search import (
     extend_ok,
 )
 from apavoid.words import Word, complement
+
+from oracles import word_search_per_class
+from test_kernels import THRESHOLDS
 
 
 def w(text):
@@ -98,6 +103,51 @@ def test_maximal_words_are_clean_everywhere():
             assert find_repetition(x.prefix(n), 2, differences=Differences.odd()) is None
 
 
+def test_engine_matches_per_class_oracle():
+    rng = random.Random(6021)
+    outcomes = set()
+    for _ in range(100):
+        # small alphabets and min_period 1 give the finite trees, whose word
+        # sets are compared
+        k = rng.choice((2, 2, 3, 3, 4, 5))
+        t = rng.choice(THRESHOLDS)
+        strict = rng.random() < 0.5
+        min_period = rng.choice((1, 1, 2, 3))
+        diffs = rng.choice((Differences.all(), Differences.odd(),
+                            Differences.exactly(rng.randrange(1, 4)),
+                            Differences.all(rng.randrange(1, 6)),
+                            Differences.odd(rng.randrange(1, 6))))
+        canonical = rng.random() < 0.5
+        cap = rng.choice((None, None, rng.randrange(1, 30)))
+        # with min_period > 1 a constant word stays clean, so the search
+        # dives as deep as its budget and each node scans every difference
+        budget = rng.randrange(1, 501 if min_period == 1 else 61)
+        case = (k, t, strict, min_period, diffs, canonical, cap, budget)
+        length, found, nodes, capped, out = word_search_per_class(
+            k, t, clean_after_append, strict, min_period, (diffs.kind, diffs.value),
+            canonical, cap, budget)
+        outcomes.add((capped, out))
+
+        res = backtrack_longest(AvoidanceProblem(k, t, diffs, strict=strict,
+                                                 min_period=min_period, length_cap=cap),
+                                canonical=canonical, node_budget=budget)
+        assert (res.max_length, res.nodes_visited, res.capped, res.budget_exhausted) == \
+            (length, nodes, capped, out), case
+        if not (capped or out):
+            orbit = set(found) if not canonical else {
+                x.translate(bytes(perm) + bytes(range(k, 256)))
+                for perm in permutations(range(k)) for x in found}
+            assert {x.symbols for x in res.maximal_words} == orbit, case
+
+        if not canonical and cap is None:
+            verdict = confirm_unavoidable(k, t, diffs, strict=strict, min_period=min_period,
+                                          node_budget=budget)
+            want = (UnavoidabilityVerdict("budget_exhausted", None, nodes) if out
+                    else UnavoidabilityVerdict("finite", length, nodes))
+            assert verdict == want, case
+    assert outcomes >= {(False, False), (True, False), (False, True)}
+
+
 # ---------------------------------------------------------------- extend_ok
 
 def test_extend_ok_matches_full_recheck():
@@ -144,9 +194,9 @@ def test_problem_validation():
         AvoidanceProblem(1, Fraction(2), Differences.all())
     with pytest.raises(ValueError):
         AvoidanceProblem(17, Fraction(2), Differences.all())
-    with pytest.raises(ValueError):
-        AvoidanceProblem(2, Fraction(1, 2), Differences.all())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"threshold must be at least 1, not 1/2"):
+        AvoidanceProblem(2, Fraction(1, 2), Differences.odd())
+    with pytest.raises(ValueError, match=r"min_period must be at least 1, not 0"):
         AvoidanceProblem(2, Fraction(2), Differences.all(), min_period=0)
     with pytest.raises(ValueError):
         AvoidanceProblem(2, Fraction(2), Differences.all(), length_cap=-1)

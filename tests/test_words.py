@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apavoid.repetition import Differences, find_repetition
 from apavoid.words import (
     CARPI_MORPHISM,
     FoldingSequence,
@@ -184,14 +185,24 @@ def test_relabel():
 # ---------------------------------------------------------------- derived words
 
 def test_v_word_residue_pattern():
-    v = four_letter_squarefree(ORDINARY, 4096)
-    f = paperfolding_prefix(ORDINARY, 4096)
-    for i in range(0, 4096, 4):
-        assert v[i] == 1  # printed symbol 2
-    for i in range(2, 4096, 4):
-        assert v[i] == 2  # printed symbol 3
-    for i in range(1, 4096, 2):
-        assert v[i] == (0 if f[i] == 0 else 3)  # printed 1/4 copies f
+    # the ordinary word, then perturbed folds: the paper's uncountable family
+    rng = random.Random(511)
+    cases = [(ORDINARY, 4096)] + [
+        (FoldingSequence(tuple(rng.randrange(2) for _ in range(9))), 511) for _ in range(10)]
+    odd = Differences.odd()
+    for folds, n in cases:
+        v = four_letter_squarefree(folds, n)
+        f = paperfolding_prefix(folds, n)
+        for i in range(0, n, 4):
+            assert v[i] == 1  # printed symbol 2
+        for i in range(2, n, 4):
+            assert v[i] == 2  # printed symbol 3
+        for i in range(1, n, 2):
+            assert v[i] == (0 if f[i] == 0 else 3)  # printed 1/4 copies f
+        if n == 511:
+            assert find_repetition(v, 2, differences=odd) is None, folds
+            t = ternary_overlapfree(folds, n)
+            assert find_repetition(t, 2, strict=True, differences=odd) is None, folds
 
 
 def test_v_odd_positions_see_disjoint_alphabets():
