@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import lattice, words
-from .repetition import Differences, find_repetition
+from .repetition import Differences, _checked_threshold, find_repetition
 from .search import AvoidanceProblem, backtrack_longest, confirm_unavoidable
 from .words import FoldingSequence, Word
 
@@ -36,9 +36,7 @@ def parse_threshold(text: str) -> tuple[Fraction, bool]:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse threshold {text!r}; expected forms like 2, 7/4, 2+")
-    if value < 1:
-        raise UsageError("threshold must be at least 1")
-    return value, strict
+    return _checked_threshold(value, 1), strict
 
 
 def parse_diffs(text: str) -> Differences:
@@ -104,8 +102,6 @@ def _read_word(source: str) -> Word:
 def _cmd_check(args: argparse.Namespace) -> int:
     w = _read_word(args.input)
     threshold, strict = parse_threshold(args.threshold)
-    if args.min_period < 1:
-        raise UsageError("--min-period must be at least 1")
     report = find_repetition(w, threshold, strict=strict, min_period=args.min_period,
                              differences=parse_diffs(args.diffs))
     if report is None:

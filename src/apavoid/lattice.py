@@ -176,15 +176,18 @@ def enumerate_maximal_lines(rows: int, cols: int, max_direction: int) -> list[Li
 
 
 def extract_line(g: Grid, spec: LineSpec) -> Word:
-    out = bytearray(spec.count)
-    r, c = spec.row, spec.col
-    for t in range(spec.count):
+    """The cells of a line: the row-major cells from its head in steps of
+    j = drow*cols + dcol. A straight line lies inside the grid when its first
+    and last cells do. j is 0 only for a one-cell line (any longer one with
+    j = 0 leaves the grid), so a step of 1 reads the same cell.
+    """
+    for t in (0, spec.count - 1):
+        r, c = spec.row + t * spec.drow, spec.col + t * spec.dcol
         if not (0 <= r < g.rows and 0 <= c < g.cols):
             raise ValueError(f"line leaves the grid at step {t}: ({r}, {c})")
-        out[t] = g.cells[r * g.cols + c]
-        r += spec.drow
-        c += spec.dcol
-    return Word(bytes(out), g.alphabet_size)
+    head = spec.row * g.cols + spec.col
+    j = spec.drow * g.cols + spec.dcol
+    return Word(memoryview(g.cells)[head::j or 1][:spec.count].tobytes(), g.alphabet_size)
 
 
 def _edge_cut(rows: int, cols: int, dc: int, p: int) -> bytes:
@@ -212,9 +215,9 @@ def verify_grid(
     chain of pairs one stride apart stays on one line too: where the cell j
     before an uncut pair wraps to another row, its own column c' has
     c' + p*dc off the grid, so its pair is cut. A direction the screen
-    passes is clean. A flagged one has its lines, each the slice of the
-    cells from its head in steps of j, scanned in enumeration order at
-    difference 1, so the first report is the one a line-by-line scan gives.
+    passes is clean. A flagged one has its lines scanned in enumeration
+    order at difference 1, so the first report is the one a line-by-line
+    scan gives.
     """
     t = _checked_threshold(threshold, min_period)
     rows, cols = g.rows, g.cols
@@ -229,10 +232,8 @@ def verify_grid(
                                    strict, min_period, longest, cut):
             continue
         for spec in _direction_lines(rows, cols, dr, dc):
-            head = spec.row * cols + spec.col
-            line = Word(g.cells[head : head + (spec.count - 1) * j + 1 : j], g.alphabet_size)
-            rep = find_repetition(line, t, strict=strict, min_period=min_period,
-                                  differences=diff1)
+            rep = find_repetition(extract_line(g, spec), t, strict=strict,
+                                  min_period=min_period, differences=diff1)
             if rep is not None:
                 return spec, rep
     return None

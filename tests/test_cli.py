@@ -112,7 +112,7 @@ def test_check_usage_errors(tmp_path, capsys):
     assert code == 2 and "cannot read" in err
     code, _, err = run_cli(capsys, "check", "--input", str(path), "--threshold", "2",
                            "--min-period", "0")
-    assert code == 2
+    assert code == 2 and "min_period must be at least 1, not 0" in err
 
 
 # ---------------------------------------------------------------- search
