@@ -44,7 +44,6 @@ from .search import (
     UnavoidabilityVerdict,
     backtrack_longest,
     confirm_unavoidable,
-    extend_ok,
 )
 from .words import (
     CARPI_MORPHISM,
@@ -88,7 +87,7 @@ __all__ = [
     "lex_least_check",
     # search
     "AvoidanceProblem", "SearchResult", "UnavoidabilityVerdict",
-    "extend_ok", "backtrack_longest", "confirm_unavoidable",
+    "backtrack_longest", "confirm_unavoidable",
     # lattice
     "Grid", "LineSpec", "GridSearchOutcome", "directions",
     "enumerate_maximal_lines", "extract_line", "product_grid",

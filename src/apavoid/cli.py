@@ -144,7 +144,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     if args.size < 1:
-        raise UsageError("--size must be at least 1")
+        raise UsageError(f"--size must be at least 1, not {args.size}")
     if args.construction is not None:
         builder, thr_text, default_mp = _CONSTRUCTIONS[args.construction]
         threshold, strict = parse_threshold(args.threshold or thr_text)

@@ -11,7 +11,8 @@ their factors.
 The lines of one direction are progressions of one step in the row-major
 cells, so ``verify_grid`` screens a direction with one xor-and-find pass
 per period, as ``find_repetition`` screens a difference, and
-``grid_search`` keeps per-cell witness chains rather than rebuilding rays.
+``grid_search`` runs the word searches' engine on a rule read from per-cell
+witness chains rather than rebuilding rays.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Iterator
 from . import _backend
 from .repetition import (Differences, RepetitionReport, _checked_threshold,
                          _difference_flagged, _min_run, find_repetition)
+from .search import _backtrack
 from .words import MAX_ALPHABET, Word, _CHARS
 
 
@@ -133,7 +135,7 @@ def product_grid(u: Word, v: Word) -> Grid:
 def directions(max_direction: int) -> list[tuple[int, int]]:
     """Primitive directions up to reversal, components bounded in magnitude."""
     if max_direction < 1:
-        raise ValueError("direction cap must be at least 1")
+        raise ValueError(f"direction cap must be at least 1, not {max_direction}")
     out = [(0, 1)]
     for dr in range(1, max_direction + 1):
         for dc in range(-max_direction, max_direction + 1):
@@ -259,27 +261,26 @@ def grid_search(
 ) -> GridSearchOutcome:
     """Backtracking hunt for a side x side grid with every line clean.
 
-    Cells are assigned in row-major order, symbols ascending, and each
-    symbol tried is one node. The default direction cap side-1 covers every
-    segment that fits, so an infeasible verdict rules the region out
-    entirely.
+    Cells are assigned in row-major order by the word searches' engine,
+    ``search._backtrack``: symbols ascending, each symbol tried one node.
+    The default direction cap side-1 covers every segment that fits, so an
+    infeasible verdict rules the region out entirely.
 
     Only repetitions ending at the new cell need a check. Each cell has
     witness chains, built once: one per backward ray and period p, with
     r = _min_run(p). A repetition of period p ending at the cell has r
     agreements p steps apart along the ray; the last pairs the cell with
     the cell p steps back, and the r - 1 before it lie among cells already
-    placed. So on entering a cell the search collects, over the chains
-    whose r - 1 agreements hold, the symbols p steps back, and keeps that
-    set until it backtracks out of the cell. With min_period 1 these are
-    exactly the symbols that close a repetition. With min_period > 1, or
-    with r = 0 (threshold 1, not strict), they are only candidates, and a
-    candidate is checked by ``_backend.clean_after_append`` on the rays.
+    placed. So on entering a cell the engine's rule is the set of symbols
+    p steps back on the chains whose r - 1 agreements hold: exactly those
+    that close a repetition, with min_period 1. With min_period > 1, or
+    with r = 0 (threshold 1, not strict), they are only candidates, kept
+    if ``_backend.clean_after_append`` rejects one of the cell's rays.
     """
-    if alphabet_size < 1 or alphabet_size > MAX_ALPHABET:
-        raise ValueError(f"alphabet size must be in 1..{MAX_ALPHABET}")
+    if not 1 <= alphabet_size <= MAX_ALPHABET:
+        raise ValueError(f"alphabet size must be in 1..{MAX_ALPHABET}, not {alphabet_size}")
     if side < 1:
-        raise ValueError("region side must be at least 1")
+        raise ValueError(f"region side must be at least 1, not {side}")
     t = _checked_threshold(threshold, min_period)
     if max_direction is None:
         max_direction = max(1, side - 1)
@@ -325,45 +326,26 @@ def grid_search(
                                           itemgetter(*ray[n - r : n - 1]), ray[n - 1 - p]))
                 p += 1
     exact = min_period == 1 and not any(open_cell)
-    every_symbol = set(range(alphabet_size))
 
-    values = bytearray(total)
-    next_sym = [0] * total
-    banned: list[set[int]] = [set()] * total
-    nodes = 0
-    depth = 0
-    while True:
-        if depth == total:
-            return GridSearchOutcome("satisfiable", side, nodes,
-                                     Grid(side, side, bytes(values), alphabet_size))
-        sym = next_sym[depth]
-        if sym >= alphabet_size:
-            next_sym[depth] = 0
-            depth -= 1
-            if depth < 0:
-                return GridSearchOutcome("infeasible", side, nodes)
-            next_sym[depth] += 1
-            continue
-        if nodes >= node_budget:
-            return GridSearchOutcome("budget_exhausted", side, nodes)
-        nodes += 1
-        values[depth] = sym
-        if sym in banned[depth] and (exact or not all(
-                _backend.clean_after_append(bytes(map(values.__getitem__, ray)),
-                                            t_num, t_den, strict, min_period)
-                for ray in rays_at[depth])):
-            next_sym[depth] += 1
-            continue
-        depth += 1
-        if depth < total:
-            if open_cell[depth]:
-                banned[depth] = every_symbol
-            else:
-                ban = {values[b] for b in lone[depth]}
-                for same, again, back in chained[depth]:
-                    if same(values) == again(values):
-                        ban.add(values[back])
-                banned[depth] = ban
+    def forbidden(values: bytearray, limit: int) -> set[int]:
+        cell = len(values)
+        ban = set(range(alphabet_size)) if open_cell[cell] else {values[b] for b in lone[cell]}
+        for same, again, back in chained[cell]:
+            if same(values) == again(values):
+                ban.add(values[back])
+        if exact or not ban:
+            return ban
+        placed = [bytes(map(values.__getitem__, ray[:-1])) for ray in rays_at[cell]]
+        return {sym for sym in ban if not all(
+            _backend.clean_after_append(head + bytes((sym,)), t_num, t_den, strict, min_period)
+            for head in placed)}
+
+    # a full assignment ends the walk; None is the engine's stop
+    nodes, budget_hit, full = _backtrack(
+        alphabet_size, forbidden, lambda values: len(values) < total or None, node_budget)
+    if full is not None:
+        return GridSearchOutcome("satisfiable", side, nodes, Grid(side, side, full, alphabet_size))
+    return GridSearchOutcome("budget_exhausted" if budget_hit else "infeasible", side, nodes)
 
 
 # One readily distinguishable color per symbol, fixed so exported images

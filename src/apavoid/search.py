@@ -1,10 +1,10 @@
-"""Exhaustive backtracking for extremal repetition-avoiding words.
+"""Exhaustive backtracking for extremal repetition-avoiding words and grids.
 
-The predicate is hereditary (every prefix of a good word is good), so the
-tree is walked depth-first in ascending symbol order, extending by one
-symbol at a time and checking only witnesses that end at the new position.
-Node counts are extension attempts and are deterministic for a given
-problem.
+The predicates are hereditary (every prefix of a good word or grid is good),
+so one engine walks the positions depth first, symbols ascending, and on
+entering a position asks a rule which symbols would close a repetition
+there: one class per difference for words, witness chains for grids. Node
+counts are symbols tried and are deterministic for a given problem.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from typing import Callable
 
 from . import _backend
 from .repetition import Differences, _checked_threshold, find_repetition
@@ -31,11 +32,11 @@ class AvoidanceProblem:
 
     def __post_init__(self) -> None:
         if not 2 <= self.alphabet_size <= MAX_ALPHABET:
-            raise ValueError(f"alphabet size must be in 2..{MAX_ALPHABET}")
+            raise ValueError(f"alphabet size must be in 2..{MAX_ALPHABET}, not {self.alphabet_size}")
         object.__setattr__(self, "threshold",
                            _checked_threshold(self.threshold, self.min_period))
-        if self.length_cap is not None and self.length_cap < 0:
-            raise ValueError("length cap must be nonnegative")
+        if self.length_cap is not None and self.length_cap < 1:
+            raise ValueError(f"length cap must be at least 1, not {self.length_cap}")
 
 
 @dataclass(frozen=True)
@@ -58,81 +59,93 @@ class UnavoidabilityVerdict:
     nodes: int
 
 
-def _extend_clean(cand: bytes, t_num: int, t_den: int, strict: bool,
-                  min_period: int, differences: Differences) -> bool:
-    # every new witness must end at the last position, so per difference
-    # only the progression class through that position needs a suffix check
-    n = len(cand)
-    last = n - 1
-    for j in differences.candidates(n):
-        ap = cand[last % j :: j]
-        if not _backend.clean_after_append(ap, t_num, t_den, strict, min_period):
-            return False
-    return True
+def _backtrack(alphabet_size: int, forbidden: Callable[[bytearray, int], set[int]],
+               on_clean: Callable[[bytearray], bool | None], node_budget: int | None,
+               canonical: bool = False) -> tuple[int, bool, bytes | None]:
+    """Walk positions 0, 1, 2, ... depth first, symbols ascending, one node each.
 
-
-def extend_ok(w: Word, symbol: int, problem: AvoidanceProblem) -> bool:
-    """Would appending this symbol keep the word clean?
-
-    Assumes w itself is clean; only repetitions ending at the appended
-    position are tested, which is equivalent to a full re-check then.
+    On entering a position, ``forbidden(prefix, limit)`` gives the symbols
+    below limit that may not follow the prefix; limit is the alphabet size,
+    or with canonical the largest symbol used so far plus one. Each clean
+    prefix goes to ``on_clean``: True grows it, False tries the next symbol,
+    None ends the walk. Returns the nodes, whether the budget ran out, and
+    the prefix that ended the walk, if one did.
     """
-    if not 0 <= symbol < problem.alphabet_size:
-        raise ValueError(f"symbol {symbol} outside alphabet of size {problem.alphabet_size}")
-    t = problem.threshold
-    return _extend_clean(w.symbols + bytes([symbol]), t.numerator, t.denominator,
-                         problem.strict, problem.min_period, problem.differences)
-
-
-def _run_search(problem: AvoidanceProblem, canonical: bool,
-                node_budget: int | None) -> tuple[int, list[bytes], int, bool, bool]:
-    k = problem.alphabet_size
-    t = problem.threshold
-    t_num, t_den = t.numerator, t.denominator
-    strict, min_period = problem.strict, problem.min_period
-    diffs = problem.differences
-    cap = problem.length_cap
-
-    nodes = 0
-    best_len = 0
-    best: list[bytes] = [b""]
-    capped = False
-    budget_hit = False
-
-    # frame: (prefix, distinct symbols used, next symbol to try)
-    stack: list[tuple[bytes, int, int]] = [(b"", 0, 0)]
-    while stack:
-        prefix, used, sym = stack.pop()
-        limit = min(used + 1, k) if canonical else k
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be nonnegative, not {node_budget}")
+    budget = float("inf") if node_budget is None else node_budget
+    prefix = bytearray()
+    stack: list[tuple[int, int, set[int]]] = []  # (next symbol, limit, ban) per open position
+    sym = nodes = 0
+    limit = 1 if canonical else alphabet_size
+    ban = forbidden(prefix, limit)
+    while True:
         if sym >= limit:
+            if not stack:
+                return nodes, False, None
+            del prefix[-1]
+            sym, limit, ban = stack.pop()
             continue
-        stack.append((prefix, used, sym + 1))
-        if node_budget is not None and nodes >= node_budget:
-            budget_hit = True
-            break
+        if nodes >= budget:
+            return nodes, True, None
         nodes += 1
-        cand = prefix + bytes([sym])
-        if not _extend_clean(cand, t_num, t_den, strict, min_period, diffs):
+        if sym in ban:
+            sym += 1
             continue
-        n = len(cand)
-        if n > best_len:
-            best_len = n
-            best = [cand]
-        elif n == best_len:
-            best.append(cand)
-        if cap is not None and n >= cap:
-            capped = True
+        prefix.append(sym)
+        grow = on_clean(prefix)
+        if grow:
+            stack.append((sym + 1, limit, ban))
+            if canonical and sym == limit - 1 and limit < alphabet_size:
+                limit += 1
+            sym = 0
+            ban = forbidden(prefix, limit)
+        elif grow is None:
+            return nodes, False, bytes(prefix)
         else:
-            stack.append((cand, used + (1 if sym == used else 0), 0))
-    return best_len, best, nodes, capped, budget_hit
+            del prefix[-1]
+            sym += 1
 
 
-def _expand_permutations(words: list[bytes], k: int) -> set[bytes]:
-    out: set[bytes] = set()
-    for perm in permutations(range(k)):
-        table = bytes(perm) + bytes(range(k, 256))  # translate wants 256 entries
-        out.update(w.translate(table) for w in words)
-    return out
+def _word_rule(problem: AvoidanceProblem) -> Callable[[bytes | bytearray, int], set[int]]:
+    """The symbols below limit whose append makes a clean prefix unclean: a new
+    witness ends at the new position, so each difference checks one class."""
+    t_num, t_den = problem.threshold.numerator, problem.threshold.denominator
+    strict, min_period = problem.strict, problem.min_period
+    candidates = problem.differences.candidates
+    clean = _backend.clean_after_append
+
+    def forbidden(prefix: bytes | bytearray, limit: int) -> set[int]:
+        last = len(prefix)
+        diffs = candidates(last + 1)
+        out = set()
+        for sym in range(limit):
+            cand = prefix + bytes((sym,))
+            for j in diffs:
+                if not clean(cand[last % j :: j], t_num, t_den, strict, min_period):
+                    out.add(sym)
+                    break
+        return out
+
+    return forbidden
+
+
+def _longest_words(problem: AvoidanceProblem, canonical: bool,
+                   node_budget: int | None) -> tuple[int, list[bytes], int, bool]:
+    best = [b""]
+
+    def record(prefix: bytearray) -> bool:
+        # keep the longest clean words; grow a word until it reaches the cap
+        n = len(prefix)
+        if n > len(best[0]):
+            best[:] = [bytes(prefix)]
+        elif n == len(best[0]):
+            best.append(bytes(prefix))
+        return problem.length_cap is None or n < problem.length_cap
+
+    nodes, budget_hit, _ = _backtrack(problem.alphabet_size, _word_rule(problem), record,
+                                      node_budget, canonical)
+    return len(best[0]), best, nodes, budget_hit
 
 
 def backtrack_longest(problem: AvoidanceProblem, *, canonical: bool = False,
@@ -148,11 +161,16 @@ def backtrack_longest(problem: AvoidanceProblem, *, canonical: bool = False,
     budget. Every word of an exact answer is re-checked, clean and maximal,
     before it is returned.
     """
-    best_len, best, nodes, capped, budget_hit = _run_search(problem, canonical, node_budget)
+    best_len, best, nodes, budget_hit = _longest_words(problem, canonical, node_budget)
+    capped = problem.length_cap is not None and best_len >= problem.length_cap
     if capped or budget_hit:
         return SearchResult(best_len, (), nodes, canonical, capped, budget_hit)
-    raw = set(best) if not canonical else _expand_permutations(best, problem.alphabet_size)
-    words = tuple(Word(b, problem.alphabet_size) for b in sorted(raw))
+    k = problem.alphabet_size
+    raw = set(best)
+    if canonical:  # the answer stands for its orbit under the k! renamings
+        raw = {w.translate(bytes(perm) + bytes(range(k, 256)))  # translate wants 256 entries
+               for perm in permutations(range(k)) for w in best}
+    words = tuple(Word(b, k) for b in sorted(raw))
     _validate_maximal(words, problem)
     return SearchResult(best_len, words, nodes, canonical, False)
 
@@ -160,15 +178,15 @@ def backtrack_longest(problem: AvoidanceProblem, *, canonical: bool = False,
 def _validate_maximal(words: tuple[Word, ...], problem: AvoidanceProblem) -> None:
     # independent re-check of the search outcome, not a unit-test concern:
     # each reported word must be clean and must not extend
+    forbidden, k = _word_rule(problem), problem.alphabet_size
     for w in words:
         rep = find_repetition(w, problem.threshold, strict=problem.strict,
                               min_period=problem.min_period,
                               differences=problem.differences)
         if rep is not None:
             raise RuntimeError(f"search returned an unclean word {w.to_text()}: {rep.to_line()}")
-        for sym in range(problem.alphabet_size):
-            if extend_ok(w, sym, problem):
-                raise RuntimeError(f"search returned a non-maximal word {w.to_text()}")
+        if len(forbidden(w.symbols, k)) < k:
+            raise RuntimeError(f"search returned a non-maximal word {w.to_text()}")
 
 
 def confirm_unavoidable(alphabet_size: int, threshold, differences: Differences, *,
@@ -182,7 +200,7 @@ def confirm_unavoidable(alphabet_size: int, threshold, differences: Differences,
     """
     problem = AvoidanceProblem(alphabet_size, threshold, differences,
                                strict=strict, min_period=min_period)
-    best_len, _, nodes, _, budget_hit = _run_search(problem, False, node_budget)
+    best_len, _, nodes, budget_hit = _longest_words(problem, False, node_budget)
     if budget_hit:
         return UnavoidabilityVerdict("budget_exhausted", None, nodes)
     return UnavoidabilityVerdict("finite", best_len, nodes)

@@ -170,6 +170,14 @@ def test_search_usage_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "search", "--alphabet", "2", "--threshold", "0.5")
     assert code == 2
+    code, out, err = run_cli(capsys, "search", "--alphabet", "3", "--threshold", "2",
+                             "--diffs", "1", "--budget", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: node budget must be nonnegative, not -1\n"
+    code, out, err = run_cli(capsys, "search", "--alphabet", "2", "--threshold", "2",
+                             "--diffs", "odd", "--length-cap", "0")
+    assert code == 2 and out == ""
+    assert err == "error: length cap must be at least 1, not 0\n"
 
 
 # ---------------------------------------------------------------- grid
@@ -230,7 +238,11 @@ def test_grid_search_budget(capsys):
 
 def test_grid_usage_errors(capsys):
     code, _, err = run_cli(capsys, "grid", "--construction", "product16", "--size", "0")
-    assert code == 2
+    assert code == 2 and err == "error: --size must be at least 1, not 0\n"
+    code, out, err = run_cli(capsys, "grid", "--search-alphabet", "4", "--size", "2",
+                             "--budget", "-3")
+    assert code == 2 and out == ""
+    assert err == "error: node budget must be nonnegative, not -3\n"
     with pytest.raises(SystemExit):
         main(["grid", "--construction", "product16", "--search-alphabet", "3",
               "--size", "2"])

@@ -301,12 +301,29 @@ def test_search_witness_cap_relaxation():
 
 
 def test_search_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"alphabet size must be in 1\.\.16, not 0"):
         grid_search(0, 2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"alphabet size must be in 1\.\.16, not 17"):
+        grid_search(17, 2, 2)
+    with pytest.raises(ValueError, match=r"threshold must be at least 1, not 1/2"):
         grid_search(2, Fraction(1, 2), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"region side must be at least 1, not 0"):
         grid_search(2, 2, 0)
+    with pytest.raises(ValueError, match=r"direction cap must be at least 1, not 0"):
+        grid_search(4, 2, 2, max_direction=0)
+    with pytest.raises(ValueError, match=r"node budget must be nonnegative, not -3"):
+        grid_search(4, 2, 2, node_budget=-3)
+    assert grid_search(4, 2, 2, node_budget=0) == GridSearchOutcome("budget_exhausted", 2, 0)
+
+
+def test_search_budget_boundary():
+    # a budget equal to a finished search's node count still finishes; one
+    # node less runs out with exactly the budget visited
+    for k, side, status, nodes in ((7, 7, "satisfiable", 525), (3, 2, "infeasible", 48)):
+        done = grid_search(k, 2, side, node_budget=nodes)
+        assert (done.status, done.nodes) == (status, nodes)
+        short = grid_search(k, 2, side, node_budget=nodes - 1)
+        assert short == GridSearchOutcome("budget_exhausted", side, nodes - 1)
 
 
 def test_threshold_and_min_period_checked_up_front():

@@ -10,9 +10,9 @@ from apavoid.search import (
     AvoidanceProblem,
     SearchResult,
     UnavoidabilityVerdict,
+    _word_rule,
     backtrack_longest,
     confirm_unavoidable,
-    extend_ok,
 )
 from apavoid.words import Word, complement
 
@@ -148,9 +148,9 @@ def test_engine_matches_per_class_oracle():
     assert outcomes >= {(False, False), (True, False), (False, True)}
 
 
-# ---------------------------------------------------------------- extend_ok
+# ---------------------------------------------------------------- the word rule
 
-def test_extend_ok_matches_full_recheck():
+def test_word_rule_matches_full_recheck():
     rng = random.Random(31337)
     checked = 0
     while checked < 200:
@@ -166,40 +166,40 @@ def test_extend_ok_matches_full_recheck():
         if len(word) and find_repetition(word, prob.threshold, strict=prob.strict,
                                          min_period=prob.min_period,
                                          differences=prob.differences) is not None:
-            continue  # extend_ok assumes a clean base
+            continue  # the rule assumes a clean base
+        forbidden = _word_rule(prob)(word.symbols, k)
         for sym in range(k):
             grew = Word(word.symbols + bytes([sym]), k)
             full = find_repetition(grew, prob.threshold, strict=prob.strict,
                                    min_period=prob.min_period,
                                    differences=prob.differences) is None
-            assert extend_ok(word, sym, prob) == full
+            assert (sym not in forbidden) == full
+        # a lower limit asks about the symbols below it only
+        assert _word_rule(prob)(word.symbols, 1) == forbidden & {0}
         checked += 1
 
 
-def test_extend_ok_rejects_both_letters_after_claimed_cube_block():
+def test_word_rule_forbids_both_letters_after_claimed_cube_block():
     word = w("0010011001100")
-    assert not extend_ok(word, 0, BINARY_CUBES_ODD)
-    assert not extend_ok(word, 1, BINARY_CUBES_ODD)
-
-
-def test_extend_ok_symbol_range():
-    with pytest.raises(ValueError):
-        extend_ok(w("01"), 2, BINARY_CUBES_ODD)
+    assert _word_rule(BINARY_CUBES_ODD)(word.symbols, 2) == {0, 1}
 
 
 # ---------------------------------------------------------------- problem validation
 
 def test_problem_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"alphabet size must be in 2\.\.16, not 1"):
         AvoidanceProblem(1, Fraction(2), Differences.all())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"alphabet size must be in 2\.\.16, not 17"):
         AvoidanceProblem(17, Fraction(2), Differences.all())
     with pytest.raises(ValueError, match=r"threshold must be at least 1, not 1/2"):
         AvoidanceProblem(2, Fraction(1, 2), Differences.odd())
     with pytest.raises(ValueError, match=r"min_period must be at least 1, not 0"):
         AvoidanceProblem(2, Fraction(2), Differences.all(), min_period=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"length cap must be at least 1, not -1"):
         AvoidanceProblem(2, Fraction(2), Differences.all(), length_cap=-1)
+    with pytest.raises(ValueError, match=r"length cap must be at least 1, not 0"):
+        AvoidanceProblem(2, Fraction(2), Differences.odd(), length_cap=0)
+    assert AvoidanceProblem(2, Fraction(2), Differences.odd(), length_cap=1).length_cap == 1
 
 
 def test_problem_coerces_threshold():
@@ -233,3 +233,33 @@ def test_confirm_unavoidable_budget_exhausted():
     v = confirm_unavoidable(3, 2, Differences.exactly(1), node_budget=500)
     assert v.status == "budget_exhausted"
     assert v.max_length is None and v.nodes == 500
+
+
+def test_negative_budget_is_rejected():
+    prob = AvoidanceProblem(3, Fraction(2), Differences.exactly(1))
+    with pytest.raises(ValueError, match=r"node budget must be nonnegative, not -1"):
+        backtrack_longest(prob, node_budget=-1)
+    with pytest.raises(ValueError, match=r"node budget must be nonnegative, not -3"):
+        confirm_unavoidable(3, 2, Differences.exactly(1), node_budget=-3)
+    # a budget of 0 is valid and visits nothing
+    assert confirm_unavoidable(3, 2, Differences.odd(), node_budget=0) == \
+        UnavoidabilityVerdict("budget_exhausted", None, 0)
+    res = backtrack_longest(prob, node_budget=0)
+    assert res.budget_exhausted and res.nodes_visited == 0
+
+
+def test_budget_boundary():
+    # a budget equal to a finished search's node count still finishes; one
+    # node less runs out with exactly the budget visited
+    for canonical, nodes in ((False, 210), (True, 36)):
+        done = backtrack_longest(TERNARY_SQUARES_ODD, canonical=canonical, node_budget=nodes)
+        assert (done.max_length, done.nodes_visited, done.budget_exhausted) == (7, nodes, False)
+        assert len(done.maximal_words) == 12
+        short = backtrack_longest(TERNARY_SQUARES_ODD, canonical=canonical,
+                                  node_budget=nodes - 1)
+        assert (short.nodes_visited, short.budget_exhausted, short.maximal_words) == \
+            (nodes - 1, True, ())
+    assert confirm_unavoidable(3, 2, Differences.odd(), node_budget=210) == \
+        UnavoidabilityVerdict("finite", 7, 210)
+    assert confirm_unavoidable(3, 2, Differences.odd(), node_budget=209) == \
+        UnavoidabilityVerdict("budget_exhausted", None, 209)
