@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import lattice, words
 from .repetition import Differences, _checked_threshold, find_repetition
-from .search import AvoidanceProblem, backtrack_longest, confirm_unavoidable
+from .search import AvoidanceProblem, backtrack_longest
 from .words import FoldingSequence, Word
 
 
@@ -74,7 +74,7 @@ _CONSTRUCTIONS = {
 def _cmd_gen(args: argparse.Namespace) -> int:
     needs_folds, builder = _GENERATORS[args.word]
     if args.length < 0:
-        raise UsageError("--length must be nonnegative")
+        raise UsageError(f"--length must be nonnegative, not {args.length}")
     if not needs_folds:
         if args.folds is not None:
             raise UsageError("the carpi word is fixed; --folds does not apply")
@@ -113,30 +113,26 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     threshold, strict = parse_threshold(args.threshold)
-    diffs = parse_diffs(args.diffs)
-    if args.budget is not None:
-        verdict = confirm_unavoidable(args.alphabet, threshold, diffs, strict=strict,
-                                      min_period=args.min_period, node_budget=args.budget)
-        if verdict.status == "budget_exhausted":
-            print(f"budget_exhausted nodes={verdict.nodes}")
-            return 1
-        print(f"max_length={verdict.max_length}")
-        print(f"nodes={verdict.nodes}")
-        return 0
-    problem = AvoidanceProblem(args.alphabet, threshold, diffs, strict=strict,
+    problem = AvoidanceProblem(args.alphabet, threshold, parse_diffs(args.diffs), strict=strict,
                                min_period=args.min_period, length_cap=args.length_cap)
-    budget = SEARCH_NODE_BUDGET if args.length_cap is None else None
+    budget = args.budget
+    if budget is None and args.length_cap is None:
+        budget = SEARCH_NODE_BUDGET
     result = backtrack_longest(problem, canonical=args.canonical, node_budget=budget)
     if result.budget_exhausted:
         print(f"budget_exhausted nodes={result.nodes_visited}")
-        print(f"apavoid: search stopped after {result.nodes_visited} nodes, the budget of a "
-              "search without --length-cap; the clean words may be unbounded, so pass "
-              "--length-cap to bound their length", file=sys.stderr)
+        if args.budget is None:
+            print(f"apavoid: search stopped after {result.nodes_visited} nodes, the budget of a "
+                  "search without --length-cap; the clean words may be unbounded, so pass "
+                  "--length-cap to bound their length", file=sys.stderr)
         return 1
     print(f"max_length={result.max_length}")
     if result.capped:
         print("cap_reached")
         return 1
+    if args.budget is not None:
+        print(f"nodes={result.nodes_visited}")
+        return 0
     for w in result.maximal_words:
         print(w.to_text())
     return 0
@@ -146,18 +142,23 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     if args.size < 1:
         raise UsageError(f"--size must be at least 1, not {args.size}")
     if args.construction is not None:
+        if args.budget is not None:
+            raise UsageError("--budget applies to --search-alphabet, not to --construction")
         builder, thr_text, default_mp = _CONSTRUCTIONS[args.construction]
         threshold, strict = parse_threshold(args.threshold or thr_text)
         min_period = args.min_period if args.min_period is not None else default_mp
-        component = builder(FoldingSequence.parse(args.folds), args.size)
+        component = builder(FoldingSequence.parse(args.folds or "ordinary"), args.size)
         grid = lattice.product_grid(component, component)
     else:
+        for flag, given in (("--verify", args.verify), ("--folds", args.folds is not None)):
+            if given:
+                raise UsageError(f"{flag} applies to --construction, not to --search-alphabet")
         threshold, strict = parse_threshold(args.threshold or "2")
         min_period = args.min_period if args.min_period is not None else 1
         outcome = lattice.grid_search(args.search_alphabet, threshold, args.size,
                                       strict=strict, min_period=min_period,
                                       max_direction=args.max_direction,
-                                      node_budget=args.budget)
+                                      node_budget=10**8 if args.budget is None else args.budget)
         print(outcome.status)
         print(f"nodes={outcome.nodes}")
         if outcome.status != "satisfiable":
@@ -220,10 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-period", type=int, default=1)
     p.add_argument("--diffs", default="all")
     p.add_argument("--length-cap", type=int, default=None,
-                   help="stop growing words at this length; without it the search "
-                        "stops after a fixed node budget")
+                   help="stop growing words at this length; without it or --budget the "
+                        "search stops after 100000 nodes")
     p.add_argument("--budget", type=int, default=None,
-                   help="switch to bounded confirmation under this node budget")
+                   help="node budget of the search, which then prints nodes= when it "
+                        "finishes (default: 100000 without --length-cap, none with it)")
     p.add_argument("--canonical", action="store_true",
                    help="search up to symbol renaming, expand afterwards")
     p.set_defaults(func=_cmd_search)
@@ -233,14 +235,19 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--construction", choices=sorted(_CONSTRUCTIONS))
     target.add_argument("--search-alphabet", type=int)
     p.add_argument("--size", type=int, required=True, help="square region side")
-    p.add_argument("--folds", default="ordinary")
+    p.add_argument("--folds", default=None,
+                   help="folding instructions of the --construction components: a 0/1 "
+                        "string or 'ordinary' (the default)")
     p.add_argument("--threshold", default=None,
-                   help="override the construction default")
+                   help="exact rational, + suffix for strict (default: the "
+                        "construction's, or 2 for --search-alphabet)")
     p.add_argument("--min-period", type=int, default=None)
     p.add_argument("--max-direction", type=int, default=None,
                    help="direction cap; verify defaults to 8, search to size-1")
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--verify", action="store_true",
+                   help="check every line of the --construction grid")
+    p.add_argument("--budget", type=int, default=None,
+                   help="node budget of the --search-alphabet search (default: 10^8)")
     p.add_argument("--out", default=None, help="write a PPM image here")
     p.add_argument("--out-text", default=None, help="write the text serialization here")
     p.set_defaults(func=_cmd_grid)

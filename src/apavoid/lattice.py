@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from operator import itemgetter
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import _backend
 from .repetition import (Differences, RepetitionReport, _checked_threshold,
@@ -249,44 +250,26 @@ class GridSearchOutcome:
     witness: Grid | None = None
 
 
-def grid_search(
-    alphabet_size: int,
-    threshold,
-    side: int,
-    *,
-    strict: bool = False,
-    min_period: int = 1,
-    max_direction: int | None = None,
-    node_budget: int = 10**8,
-) -> GridSearchOutcome:
-    """Backtracking hunt for a side x side grid with every line clean.
-
-    Cells are assigned in row-major order by the word searches' engine,
-    ``search._backtrack``: symbols ascending, each symbol tried one node.
-    The default direction cap side-1 covers every segment that fits, so an
-    infeasible verdict rules the region out entirely.
+def _grid_rule(alphabet_size: int, t: Fraction, side: int, strict: bool, min_period: int,
+               max_direction: int) -> Callable[[bytearray, int], set[int]]:
+    """The engine's rule for a side x side grid, the counterpart of
+    ``search._word_rule``: given the cells placed so far in row-major order,
+    the symbols whose placement at the next cell closes a repetition on one
+    of its backward rays.
 
     Only repetitions ending at the new cell need a check. Each cell has
     witness chains, built once: one per backward ray and period p, with
     r = _min_run(p). A repetition of period p ending at the cell has r
     agreements p steps apart along the ray; the last pairs the cell with
     the cell p steps back, and the r - 1 before it lie among cells already
-    placed. So on entering a cell the engine's rule is the set of symbols
-    p steps back on the chains whose r - 1 agreements hold: exactly those
-    that close a repetition, with min_period 1. With min_period > 1, or
-    with r = 0 (threshold 1, not strict), they are only candidates, kept
-    if ``_backend.clean_after_append`` rejects one of the cell's rays.
+    placed. So the rule is the set of symbols p steps back on the chains
+    whose r - 1 agreements hold: exactly those that close a repetition,
+    with min_period 1. With min_period > 1, or with r = 0 (threshold 1, not
+    strict), they are only candidates, kept if
+    ``_backend.clean_after_append`` rejects one of the cell's rays.
     """
-    if not 1 <= alphabet_size <= MAX_ALPHABET:
-        raise ValueError(f"alphabet size must be in 1..{MAX_ALPHABET}, not {alphabet_size}")
-    if side < 1:
-        raise ValueError(f"region side must be at least 1, not {side}")
-    t = _checked_threshold(threshold, min_period)
-    if max_direction is None:
-        max_direction = max(1, side - 1)
-    t_num, t_den = t.numerator, t.denominator
-
     total = side * side
+    t_num, t_den = t.numerator, t.denominator
     # backward rays: for each cell, the in-bounds run ending there per
     # direction, in line order; all ray cells precede it row-major
     rays_at: list[list[tuple[int, ...]]] = [[] for _ in range(total)]
@@ -340,9 +323,39 @@ def grid_search(
             _backend.clean_after_append(head + bytes((sym,)), t_num, t_den, strict, min_period)
             for head in placed)}
 
+    return forbidden
+
+
+def grid_search(
+    alphabet_size: int,
+    threshold,
+    side: int,
+    *,
+    strict: bool = False,
+    min_period: int = 1,
+    max_direction: int | None = None,
+    node_budget: int = 10**8,
+) -> GridSearchOutcome:
+    """Backtracking hunt for a side x side grid with every line clean.
+
+    Cells are assigned in row-major order by the word searches' engine,
+    ``search._backtrack``: symbols ascending, each symbol tried one node,
+    with ``_grid_rule`` giving the symbols each cell forbids.
+    The default direction cap side-1 covers every segment that fits, so an
+    infeasible verdict rules the region out entirely.
+    """
+    if not 1 <= alphabet_size <= MAX_ALPHABET:
+        raise ValueError(f"alphabet size must be in 1..{MAX_ALPHABET}, not {alphabet_size}")
+    if side < 1:
+        raise ValueError(f"region side must be at least 1, not {side}")
+    t = _checked_threshold(threshold, min_period)
+    if max_direction is None:
+        max_direction = max(1, side - 1)
+    rule = _grid_rule(alphabet_size, t, side, strict, min_period, max_direction)
+    total = side * side
     # a full assignment ends the walk; None is the engine's stop
     nodes, budget_hit, full = _backtrack(
-        alphabet_size, forbidden, lambda values: len(values) < total or None, node_budget)
+        alphabet_size, rule, lambda values: len(values) < total or None, node_budget)
     if full is not None:
         return GridSearchOutcome("satisfiable", side, nodes, Grid(side, side, full, alphabet_size))
     return GridSearchOutcome("budget_exhausted" if budget_hit else "infeasible", side, nodes)

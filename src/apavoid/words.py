@@ -10,7 +10,7 @@ paperfolding word and any perturbed variant share one code path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 MAX_ALPHABET = 16
 _CHARS = "0123456789abcdef"
@@ -35,10 +35,6 @@ class Word:
             raise ValueError("symbol out of range for alphabet")
 
     @classmethod
-    def from_symbols(cls, symbols: Sequence[int], alphabet_size: int) -> "Word":
-        return cls(bytes(symbols), alphabet_size)
-
-    @classmethod
     def from_text(cls, text: str, alphabet_size: int | None = None) -> "Word":
         """Parse one digit per symbol, 0-9 then a-f for alphabets past ten."""
         try:
@@ -53,7 +49,7 @@ class Word:
         return "".join(_CHARS[s] for s in self.symbols)
 
     def prefix(self, n: int) -> "Word":
-        if n > len(self.symbols):
+        if not 0 <= n <= len(self.symbols):
             raise ValueError(f"prefix of length {n} from a word of length {len(self.symbols)}")
         return Word(self.symbols[:n], self.alphabet_size)
 
@@ -139,7 +135,7 @@ def paperfolding_prefix(folds: FoldingSequence, n: int) -> Word:
     this starts 0010011000110110.
     """
     if n < 0:
-        raise ValueError("length must be nonnegative")
+        raise ValueError(f"length must be nonnegative, not {n}")
     folds.require(folding_bits_needed(n))
     bits = folds.bits
     known = len(bits)  # past this, require() guarantees we are all-zero

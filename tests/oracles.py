@@ -182,6 +182,24 @@ def first_line_report_per_line(cells, rows, cols, first_repetition, threshold, s
     return None
 
 
+def backward_rays(side, max_direction):
+    """Per row-major cell of a square region, the in-bounds run of 2+ cells
+    ending there along each direction, in line order."""
+    rays_at = [[] for _ in range(side * side)]
+    for dr, dc in grid_directions(max_direction):
+        for r in range(side):
+            for c in range(side):
+                ray = []
+                rr, cc = r, c
+                while 0 <= rr < side and 0 <= cc < side:
+                    ray.append(rr * side + cc)
+                    rr -= dr
+                    cc -= dc
+                if len(ray) >= 2:
+                    rays_at[r * side + c].append(ray[::-1])
+    return rays_at
+
+
 def grid_search_per_ray(alphabet_size, threshold, side, clean_after_append, strict=False,
                         min_period=1, max_direction=None, node_budget=10**8):
     """A square-grid search that rebuilds every ray at every node.
@@ -198,18 +216,7 @@ def grid_search_per_ray(alphabet_size, threshold, side, clean_after_append, stri
     if max_direction is None:
         max_direction = max(1, side - 1)
     total = side * side
-    rays_at = [[] for _ in range(total)]
-    for dr, dc in grid_directions(max_direction):
-        for r in range(side):
-            for c in range(side):
-                ray = []
-                rr, cc = r, c
-                while 0 <= rr < side and 0 <= cc < side:
-                    ray.append(rr * side + cc)
-                    rr -= dr
-                    cc -= dc
-                if len(ray) >= 2:
-                    rays_at[r * side + c].append(ray[::-1])
+    rays_at = backward_rays(side, max_direction)
     values = bytearray(total)
     next_sym = [0] * total
     nodes = 0

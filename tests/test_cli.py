@@ -1,4 +1,5 @@
 import io
+import shlex
 import shutil
 import subprocess
 import sys
@@ -147,6 +148,17 @@ def test_search_budget_modes(capsys):
     code, out, _ = run_cli(capsys, "search", "--alphabet", "3", "--threshold", "2",
                            "--diffs", "1", "--budget", "500")
     assert code == 1 and out == "budget_exhausted nodes=500\n"
+    # --canonical and --length-cap hold with --budget: the canonical tree of
+    # 3 letters, squares on odd differences, has 36 nodes (the plain one 210)
+    code, out, _ = run_cli(capsys, "search", "--alphabet", "3", "--threshold", "2",
+                           "--diffs", "odd", "--budget", "36", "--canonical")
+    assert code == 0 and out.splitlines() == ["max_length=7", "nodes=36"]
+    code, out, err = run_cli(capsys, "search", "--alphabet", "3", "--threshold", "2",
+                             "--diffs", "odd", "--budget", "35", "--canonical")
+    assert code == 1 and out == "budget_exhausted nodes=35\n" and err == ""
+    code, out, _ = run_cli(capsys, "search", "--alphabet", "3", "--threshold", "2",
+                           "--diffs", "odd", "--budget", "1000", "--length-cap", "5")
+    assert code == 1 and out.splitlines() == ["max_length=5", "cap_reached"]
 
 
 def test_search_without_cap_stops_at_default_budget(capsys, monkeypatch):
@@ -243,6 +255,12 @@ def test_grid_usage_errors(capsys):
                              "--budget", "-3")
     assert code == 2 and out == ""
     assert err == "error: node budget must be nonnegative, not -3\n"
+    # a flag its mode would drop is refused by name
+    for mode, flag in ((("--search-alphabet", "4"), ("--verify",)),
+                       (("--search-alphabet", "4"), ("--folds", "ordinary")),
+                       (("--construction", "product16"), ("--budget", "5"))):
+        code, out, err = run_cli(capsys, "grid", *mode, "--size", "2", *flag)
+        assert code == 2 and out == "" and flag[0] in err and mode[0] in err
     with pytest.raises(SystemExit):
         main(["grid", "--construction", "product16", "--search-alphabet", "3",
               "--size", "2"])
@@ -254,6 +272,33 @@ def test_grid_out_unwritable(tmp_path, capsys):
     code, _, err = run_cli(capsys, "grid", "--construction", "product16", "--size", "2",
                            "--out", str(tmp_path / "missing_dir" / "x.ppm"))
     assert code == 2 and "cannot write" in err
+
+
+# ---------------------------------------------------------------- README
+
+def test_readme_commands(tmp_path, monkeypatch, capsys):
+    # every command line of the fenced block under README's "## Command line"
+    # runs to a verdict, none to a usage error
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```", 2)[1]
+    commands = [line for line in block.splitlines() if "apavoid " in line]
+    assert len(commands) >= 10
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w.txt").write_text("2131243121342431\n")
+    for line in commands:
+        stdin = ""
+        if "|" in line:
+            feed, line = line.split("|")
+            stdin = shlex.split(feed)[1] + "\n"
+        argv = shlex.split(line)
+        assert argv[0] == "apavoid", line
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        try:
+            code = main(argv[1:])
+        except SystemExit as exc:  # argparse refuses an unknown flag or choice
+            code = exc.code
+        assert code in (0, 1), (line, capsys.readouterr().err)
+        capsys.readouterr()
 
 
 # ---------------------------------------------------------------- installed surface

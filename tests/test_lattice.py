@@ -19,7 +19,8 @@ from apavoid.lattice import (
 )
 from apavoid.repetition import Differences, Progression, ap_subsequence, find_repetition
 from apavoid.words import FoldingSequence, Word, four_letter_squarefree
-from oracles import first_line_report_per_line, first_report, grid_lines, grid_search_per_ray
+from oracles import (backward_rays, first_line_report_per_line, first_report, grid_lines,
+                     grid_search_per_ray)
 
 ORDINARY = FoldingSequence.ordinary()
 THRESHOLDS = (Fraction(1), Fraction(3, 2), Fraction(7, 4), Fraction(2), Fraction(5, 2),
@@ -359,6 +360,34 @@ def test_search_matches_per_ray_loop():
         assert got == want, (k, t, side, strict, mp, cap, budget)
         statuses[out.status] = statuses.get(out.status, 0) + 1
     assert min(statuses.values()) >= 75 and len(statuses) == 3, statuses
+
+
+def test_grid_rule_matches_full_recheck():
+    # random clean partial grids, built greedily with every placed cell
+    # checked by brute force on each backward ray; at the next cell the rule
+    # must forbid exactly the symbols that the brute force rejects
+    rng = random.Random(4242)
+    checked = fallback_bans = 0
+    for _ in range(300):
+        side = rng.randrange(2, 6)
+        k = rng.randrange(2, 6)
+        t = rng.choice((Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2)))
+        strict = rng.random() < 0.5
+        mp = rng.randrange(1, 4)
+        rule = lattice._grid_rule(k, t, side, strict, mp, side - 1)
+        values = bytearray()
+        for rays in backward_rays(side, side - 1):
+            want = {sym for sym in range(k) if any(
+                first_report(bytes(values[i] for i in ray[:-1]) + bytes((sym,)), t, strict, mp,
+                             exact_diff=1) is not None for ray in rays)}
+            assert rule(values, k) == want, (side, k, t, strict, mp, bytes(values))
+            checked += 1
+            fallback_bans += mp > 1 and bool(want)
+            allowed = [sym for sym in range(k) if sym not in want]
+            if not allowed:
+                break
+            values.append(rng.choice(allowed))
+    assert checked >= 3000 and fallback_bans >= 400, (checked, fallback_bans)
 
 
 # ---------------------------------------------------------------- export

@@ -123,6 +123,21 @@ def test_word_concat_prefix_index():
     assert w[-1] == 2
 
 
+def test_negative_lengths_are_refused_by_name():
+    seed = Word(b"\x05", CARPI_MORPHISM.alphabet_size)
+    calls = (
+        (-1, lambda: Word.from_text("0120").prefix(-1)),
+        (-1, lambda: paperfolding_prefix(ORDINARY, -1)),
+        (-1, lambda: carpi_word(-1)),
+        (-1, lambda: ternary_overlapfree(ORDINARY, -1)),
+        (-3, lambda: binary_large_squarefree(ORDINARY, -3)),
+        (-2, lambda: iterate_morphism(CARPI_MORPHISM, seed, -2)),
+    )
+    for n, call in calls:
+        with pytest.raises(ValueError, match=rf" {n}\b"):
+            call()
+
+
 def test_complement_and_reverse():
     w = Word.from_text("0010")
     assert complement(w).to_text() == "1101"
