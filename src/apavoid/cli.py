@@ -1,13 +1,15 @@
 """Command-line surface: gen, check, search, grid.
 
 Exit codes: 0 success, 1 property violation (repetition found, search cap
-or budget hit, infeasible region), 2 usage or input errors. All output is
+or budget hit, infeasible region), 2 usage or input errors, 141 (128 +
+SIGPIPE) when the reader closes stdout early. All output is
 newline-terminated ASCII and deterministic for a given flag set.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -30,12 +32,10 @@ SEARCH_NODE_BUDGET = 10**5
 def parse_threshold(text: str) -> tuple[Fraction, bool]:
     """Exact rational with optional trailing + for a strict comparison."""
     strict = text.endswith("+")
-    if strict:
-        text = text[:-1]
     try:
-        value = Fraction(text)
+        value = Fraction(text[:-1] if strict else text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"cannot parse threshold {text!r}; expected forms like 2, 7/4, 2+")
+        raise UsageError(f"cannot parse --threshold {text!r}; expected forms like 2, 7/4, 2+")
     return _checked_threshold(value, 1), strict
 
 
@@ -49,7 +49,7 @@ def parse_diffs(text: str) -> Differences:
     except ValueError:
         raise UsageError(f"--diffs must be odd, all, or a positive integer, not {text!r}")
     if j < 1:
-        raise UsageError("--diffs difference must be at least 1")
+        raise UsageError(f"--diffs difference must be at least 1, not {j}")
     return Differences.exactly(j)
 
 
@@ -62,13 +62,32 @@ _GENERATORS = {
     "carpi": (False, None),
 }
 
-# construction -> (component builder, default threshold text, default min period)
+# construction -> (component builder, default threshold text, its own verify_grid options)
 _CONSTRUCTIONS = {
-    "product16": (words.four_letter_squarefree, "2", 1),
-    "paperfold4": (words.paperfolding_prefix, "3+", 1),
-    "overlap9": (words.ternary_overlapfree, "2+", 1),
-    "bigsq4": (words.binary_large_squarefree, "2", 3),
+    "product16": (words.four_letter_squarefree, "2", {}),
+    "paperfold4": (words.paperfolding_prefix, "3+", {}),
+    "overlap9": (words.ternary_overlapfree, "2+", {}),
+    "bigsq4": (words.binary_large_squarefree, "2", {"min_period": 3}),
 }
+
+# grid mode -> each flag the mode would drop, with the modes it belongs to
+_GRID_DROPPED = {
+    "--search-alphabet": (("--verify", "--construction"), ("--folds", "--construction")),
+    "--construction with --verify": (("--budget", "--search-alphabet"),),
+    "--construction without --verify": (
+        ("--budget", "--search-alphabet"),
+        ("--threshold", "--verify and --search-alphabet"),
+        ("--min-period", "--verify and --search-alphabet"),
+        ("--max-direction", "--verify and --search-alphabet"),
+    ),
+}
+
+
+def _parse_folds(text: str) -> FoldingSequence:
+    try:
+        return FoldingSequence.parse(text)
+    except ValueError as exc:
+        raise UsageError(f"--folds: {exc}")
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -82,7 +101,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     else:
         if args.folds is None:
             raise UsageError(f"--folds is required for {args.word}")
-        w = builder(FoldingSequence.parse(args.folds), args.length)
+        w = builder(_parse_folds(args.folds), args.length)
     print(words.present(w, args.word))
     return 0
 
@@ -141,24 +160,29 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_grid(args: argparse.Namespace) -> int:
     if args.size < 1:
         raise UsageError(f"--size must be at least 1, not {args.size}")
+    if args.search_alphabet is not None:
+        mode = "--search-alphabet"
+    else:
+        mode = f"--construction {'with' if args.verify else 'without'} --verify"
+    for flag, home in _GRID_DROPPED[mode]:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise UsageError(f"{flag} applies to {home}, not to {mode}")
+    # the library's defaults hold for every option not given
+    options = {name: value for name, value in (("min_period", args.min_period),
+                                               ("max_direction", args.max_direction),
+                                               ("node_budget", args.budget))
+               if value is not None}
+
     if args.construction is not None:
-        if args.budget is not None:
-            raise UsageError("--budget applies to --search-alphabet, not to --construction")
-        builder, thr_text, default_mp = _CONSTRUCTIONS[args.construction]
-        threshold, strict = parse_threshold(args.threshold or thr_text)
-        min_period = args.min_period if args.min_period is not None else default_mp
-        component = builder(FoldingSequence.parse(args.folds or "ordinary"), args.size)
+        builder, thr_text, own = _CONSTRUCTIONS[args.construction]
+        threshold, strict = parse_threshold(thr_text if args.threshold is None else args.threshold)
+        component = builder(_parse_folds("ordinary" if args.folds is None else args.folds),
+                            args.size)
         grid = lattice.product_grid(component, component)
     else:
-        for flag, given in (("--verify", args.verify), ("--folds", args.folds is not None)):
-            if given:
-                raise UsageError(f"{flag} applies to --construction, not to --search-alphabet")
-        threshold, strict = parse_threshold(args.threshold or "2")
-        min_period = args.min_period if args.min_period is not None else 1
+        threshold, strict = parse_threshold("2" if args.threshold is None else args.threshold)
         outcome = lattice.grid_search(args.search_alphabet, threshold, args.size,
-                                      strict=strict, min_period=min_period,
-                                      max_direction=args.max_direction,
-                                      node_budget=10**8 if args.budget is None else args.budget)
+                                      strict=strict, **options)
         print(outcome.status)
         print(f"nodes={outcome.nodes}")
         if outcome.status != "satisfiable":
@@ -178,19 +202,16 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise UsageError(f"cannot write {args.out_text}: {exc}")
 
-    if args.construction is not None:
-        if args.verify:
-            max_direction = args.max_direction if args.max_direction is not None else 8
-            hit = lattice.verify_grid(grid, threshold, strict=strict, min_period=min_period,
-                                      max_direction=max_direction)
-            if hit is not None:
-                spec, report = hit
-                print(f"line row={spec.row} col={spec.col} drow={spec.drow} "
-                      f"dcol={spec.dcol} count={spec.count} :: {report.to_line()}")
-                return 1
-            print("ok")
-        elif not args.out and not args.out_text:
-            sys.stdout.write(grid.to_text())
+    if args.verify:
+        hit = lattice.verify_grid(grid, threshold, strict=strict, **{**own, **options})
+        if hit is not None:
+            spec, report = hit
+            print(f"line row={spec.row} col={spec.col} drow={spec.drow} "
+                  f"dcol={spec.dcol} count={spec.count} :: {report.to_line()}")
+            return 1
+        print("ok")
+    elif args.construction is not None and not args.out and not args.out_text:
+        sys.stdout.write(grid.to_text())
     return 0
 
 
@@ -244,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-period", type=int, default=None)
     p.add_argument("--max-direction", type=int, default=None,
                    help="direction cap; verify defaults to 8, search to size-1")
-    p.add_argument("--verify", action="store_true",
+    p.add_argument("--verify", action="store_true", default=None,
                    help="check every line of the --construction grid")
     p.add_argument("--budget", type=int, default=None,
                    help="node budget of the --search-alphabet search (default: 10^8)")
@@ -258,10 +279,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so the flush
+        # at exit cannot fail again, and end as a shell reports SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

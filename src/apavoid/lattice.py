@@ -44,13 +44,17 @@ class Grid:
     def __post_init__(self) -> None:
         object.__setattr__(self, "cells", bytes(self.cells))
         if self.rows < 1 or self.cols < 1:
-            raise ValueError("grid must have at least one row and one column")
+            raise ValueError("grid must have at least one row and one column, "
+                             f"not {self.rows}x{self.cols}")
         if len(self.cells) != self.rows * self.cols:
-            raise ValueError("cell count does not match the declared shape")
+            raise ValueError(f"{len(self.cells)} cells do not fill the declared "
+                             f"{self.rows}x{self.cols} shape")
         if not 1 <= self.alphabet_size <= MAX_ALPHABET:
-            raise ValueError(f"alphabet size must be in 1..{MAX_ALPHABET}")
+            raise ValueError(f"alphabet size must be in 1..{MAX_ALPHABET}, "
+                             f"not {self.alphabet_size}")
         if self.cells and max(self.cells) >= self.alphabet_size:
-            raise ValueError("cell symbol out of range for alphabet")
+            raise ValueError(f"cell symbol {max(self.cells)} out of range for alphabet size "
+                             f"{self.alphabet_size}")
         if self.factors is not None and self.factors[0] * self.factors[1] != self.alphabet_size:
             raise ValueError("factors do not multiply to the alphabet size")
 
@@ -83,6 +87,8 @@ class Grid:
             raise ValueError(f"expected {rows} rows of cells, found {len(lines) - 1}")
         cells = bytearray()
         for row, ln in enumerate(lines[1:]):
+            if len(ln) != cols:
+                raise ValueError(f"row {row} has {len(ln)} cells, not {cols}")
             for col, c in enumerate(ln):
                 sym = _CHARS.find(c)
                 if sym < 0:

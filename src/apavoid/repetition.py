@@ -27,11 +27,11 @@ class Progression:
 
     def __post_init__(self) -> None:
         if self.start < 0:
-            raise ValueError("start must be nonnegative")
+            raise ValueError(f"start must be nonnegative, not {self.start}")
         if self.difference < 1:
-            raise ValueError("difference must be at least 1")
+            raise ValueError(f"difference must be at least 1, not {self.difference}")
         if self.count < 0:
-            raise ValueError("count must be nonnegative")
+            raise ValueError(f"count must be nonnegative, not {self.count}")
 
     def positions(self) -> range:
         stop = self.start + self.count * self.difference
@@ -75,9 +75,9 @@ class Differences:
         if self.kind not in ("all", "odd", "exact"):
             raise ValueError(f"unknown difference selector {self.kind!r}")
         if self.kind == "exact" and (self.value is None or self.value < 1):
-            raise ValueError("exact selector needs a difference of at least 1")
+            raise ValueError(f"exact selector needs a difference of at least 1, not {self.value}")
         if self.kind != "exact" and self.value is not None and self.value < 1:
-            raise ValueError("difference cap must be at least 1")
+            raise ValueError(f"difference cap must be at least 1, not {self.value}")
 
     @classmethod
     def all(cls, cap: int | None = None) -> "Differences":

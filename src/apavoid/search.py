@@ -158,34 +158,36 @@ def backtrack_longest(problem: AvoidanceProblem, *, canonical: bool = False,
     Set problem.length_cap or node_budget when the predicate admits an
     infinite word, otherwise this will not terminate. A search that runs
     out of nodes reports budget_exhausted, with nodes_visited equal to the
-    budget. Every word of an exact answer is re-checked, clean and maximal,
-    before it is returned.
+    budget. For an exact answer, the words the walk found are re-checked,
+    clean and maximal, before the k! renamings of a canonical search; a
+    renaming keeps both, so the renamed copies are not re-checked.
     """
     best_len, best, nodes, budget_hit = _longest_words(problem, canonical, node_budget)
     capped = problem.length_cap is not None and best_len >= problem.length_cap
     if capped or budget_hit:
         return SearchResult(best_len, (), nodes, canonical, capped, budget_hit)
+    _validate_maximal(best, problem)
     k = problem.alphabet_size
     raw = set(best)
     if canonical:  # the answer stands for its orbit under the k! renamings
         raw = {w.translate(bytes(perm) + bytes(range(k, 256)))  # translate wants 256 entries
                for perm in permutations(range(k)) for w in best}
     words = tuple(Word(b, k) for b in sorted(raw))
-    _validate_maximal(words, problem)
     return SearchResult(best_len, words, nodes, canonical, False)
 
 
-def _validate_maximal(words: tuple[Word, ...], problem: AvoidanceProblem) -> None:
+def _validate_maximal(found: list[bytes], problem: AvoidanceProblem) -> None:
     # independent re-check of the search outcome, not a unit-test concern:
-    # each reported word must be clean and must not extend
+    # each word the walk found must be clean and must not extend
     forbidden, k = _word_rule(problem), problem.alphabet_size
-    for w in words:
+    for symbols in found:
+        w = Word(symbols, k)
         rep = find_repetition(w, problem.threshold, strict=problem.strict,
                               min_period=problem.min_period,
                               differences=problem.differences)
         if rep is not None:
             raise RuntimeError(f"search returned an unclean word {w.to_text()}: {rep.to_line()}")
-        if len(forbidden(w.symbols, k)) < k:
+        if len(forbidden(symbols, k)) < k:
             raise RuntimeError(f"search returned a non-maximal word {w.to_text()}")
 
 

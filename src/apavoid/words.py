@@ -30,9 +30,11 @@ class Word:
     def __post_init__(self) -> None:
         object.__setattr__(self, "symbols", bytes(self.symbols))
         if not 1 <= self.alphabet_size <= MAX_ALPHABET:
-            raise ValueError(f"alphabet size must be in 1..{MAX_ALPHABET}")
+            raise ValueError(f"alphabet size must be in 1..{MAX_ALPHABET}, "
+                             f"not {self.alphabet_size}")
         if self.symbols and max(self.symbols) >= self.alphabet_size:
-            raise ValueError("symbol out of range for alphabet")
+            raise ValueError(f"symbol {max(self.symbols)} out of range for alphabet size "
+                             f"{self.alphabet_size}")
 
     @classmethod
     def from_text(cls, text: str, alphabet_size: int | None = None) -> "Word":
@@ -40,7 +42,9 @@ class Word:
         try:
             symbols = bytes(_CHARS.index(c) for c in text)
         except ValueError:
-            raise ValueError(f"word text may only contain {_CHARS!r}") from None
+            i = next(i for i, c in enumerate(text) if c not in _CHARS)
+            raise ValueError(f"bad character {text[i]!r} at index {i}; "
+                             f"word text may only contain {_CHARS!r}") from None
         if alphabet_size is None:
             alphabet_size = max(symbols) + 1 if symbols else 1
         return cls(symbols, alphabet_size)
@@ -93,8 +97,9 @@ class FoldingSequence:
     infinite_zeros: bool = False
 
     def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("folding instructions must be 0 or 1")
+        for b in self.bits:
+            if b not in (0, 1):
+                raise ValueError(f"folding instructions must be 0 or 1, not {b!r}")
 
     @classmethod
     def ordinary(cls) -> "FoldingSequence":
@@ -105,7 +110,8 @@ class FoldingSequence:
         if text == "ordinary":
             return cls.ordinary()
         if not text or set(text) - {"0", "1"}:
-            raise ValueError("folding instructions must be 'ordinary' or a 0/1 string")
+            raise ValueError(f"folding instructions must be 'ordinary' or a 0/1 string, "
+                             f"not {text!r}")
         return cls(tuple(int(c) for c in text))
 
     def require(self, count: int) -> None:
@@ -155,7 +161,7 @@ def perturbed_prefix(folds: FoldingSequence, k: int) -> Word:
     built from the same instructions.
     """
     if k < 0:
-        raise ValueError("fold count must be nonnegative")
+        raise ValueError(f"fold count must be nonnegative, not {k}")
     folds.require(k + 1)
     cur = Word(bytes([folds.bit(0)]), 2)
     for i in range(1, k + 1):

@@ -258,9 +258,22 @@ def test_grid_usage_errors(capsys):
     # a flag its mode would drop is refused by name
     for mode, flag in ((("--search-alphabet", "4"), ("--verify",)),
                        (("--search-alphabet", "4"), ("--folds", "ordinary")),
-                       (("--construction", "product16"), ("--budget", "5"))):
+                       (("--construction", "product16"), ("--budget", "5")),
+                       (("--construction", "product16", "--verify"), ("--budget", "5")),
+                       (("--construction", "product16"), ("--threshold", "5")),
+                       (("--construction", "product16"), ("--min-period", "4")),
+                       (("--construction", "product16"), ("--max-direction", "3"))):
         code, out, err = run_cli(capsys, "grid", *mode, "--size", "2", *flag)
         assert code == 2 and out == "" and flag[0] in err and mode[0] in err
+    code, _, err = run_cli(capsys, "grid", "--construction", "product16", "--size", "2",
+                           "--threshold", "5")
+    assert err == ("error: --threshold applies to --verify and --search-alphabet, "
+                   "not to --construction without --verify\n")
+    # an empty value is parsed, not taken for the default
+    for flag in (("--verify", "--threshold", ""), ("--folds", "")):
+        code, out, err = run_cli(capsys, "grid", "--construction", "product16", "--size", "2",
+                                 *flag)
+        assert code == 2 and out == "" and flag[-2] in err and "''" in err
     with pytest.raises(SystemExit):
         main(["grid", "--construction", "product16", "--search-alphabet", "3",
               "--size", "2"])
@@ -269,9 +282,11 @@ def test_grid_usage_errors(capsys):
 
 
 def test_grid_out_unwritable(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "grid", "--construction", "product16", "--size", "2",
-                           "--out", str(tmp_path / "missing_dir" / "x.ppm"))
-    assert code == 2 and "cannot write" in err
+    for flag in ("--out", "--out-text"):
+        target = str(tmp_path / "missing_dir" / "x")
+        code, _, err = run_cli(capsys, "grid", "--construction", "product16", "--size", "2",
+                               flag, target)
+        assert code == 2 and f"cannot write {target}" in err
 
 
 # ---------------------------------------------------------------- README
@@ -332,6 +347,17 @@ def test_console_script_roundtrip(tmp_path, child_env):
                               capture_output=True, text=True, env=child_env)
         assert proc.returncode == 0 and proc.stdout == "110012001102\n", \
             f"{command}: {proc.stderr}"
+
+
+def test_closed_stdout_exits_quietly(child_env):
+    # the reader takes 10 bytes of a long word and closes the pipe
+    proc = subprocess.Popen([sys.executable, "-m", "apavoid", "gen", "--word", "v",
+                             "--folds", "ordinary", "--length", "200000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env)
+    assert proc.stdout.read(10) == b"2131243121"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (141, b"")
 
 
 def test_module_entry_point(child_env):

@@ -70,6 +70,16 @@ def test_grid_from_text_errors():
         Grid.from_text("1 2 2\n0z\n")
 
 
+def test_grid_from_text_refuses_ragged_rows():
+    # the cell count matches the shape, but the rows do not
+    with pytest.raises(ValueError, match=r"row 0 has 4 cells, not 3$"):
+        Grid.from_text("2 3 2\n0101\n01\n")
+    with pytest.raises(ValueError, match=r"row 1 has 2 cells, not 3$"):
+        Grid.from_text("2 3 2\n010\n01\n")
+    with pytest.raises(ValueError, match=r"row 0 has 3 cells, not 2$"):
+        Grid.from_text("1 2 2\n012\n")
+
+
 def test_grid_from_text_names_bad_character():
     with pytest.raises(ValueError, match=r"bad cell character 'z' in row 1, column 2"):
         Grid.from_text("2 3 2\n010\n10z\n")

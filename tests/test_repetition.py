@@ -454,6 +454,7 @@ def test_power_of_period_is_literal():
     assert not has_square_of_period(w("0101"), 1)
     assert has_power_of_period(w("000"), 1, 3)
     assert not has_power_of_period(w("00100"), 2, 2)
+    assert not has_power_of_period(w("010"), 2, 2)  # too short for any square of period 2
     with pytest.raises(ValueError):
         has_power_of_period(w("00"), 0, 2)
     with pytest.raises(ValueError):

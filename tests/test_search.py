@@ -4,12 +4,14 @@ from itertools import permutations
 
 import pytest
 
+from apavoid import search
 from apavoid._backend import clean_after_append
 from apavoid.repetition import Differences, find_repetition
 from apavoid.search import (
     AvoidanceProblem,
     SearchResult,
     UnavoidabilityVerdict,
+    _validate_maximal,
     _word_rule,
     backtrack_longest,
     confirm_unavoidable,
@@ -101,6 +103,36 @@ def test_maximal_words_are_clean_everywhere():
     for x in backtrack_longest(TERNARY_SQUARES_ODD).maximal_words:
         for n in range(1, len(x) + 1):
             assert find_repetition(x.prefix(n), 2, differences=Differences.odd()) is None
+
+
+def test_answer_rechecked_once_per_word_the_walk_found(monkeypatch):
+    # a renaming keeps a word clean and maximal, so a canonical answer is
+    # re-checked on its canonical words only, not on every renamed copy
+    checked = []
+    monkeypatch.setattr(search, "find_repetition",
+                        lambda word, *a, **k: checked.append(word) or find_repetition(word, *a, **k))
+    for prob, canon_checks, plain_checks in (
+        (TERNARY_SQUARES_ODD, 2, 12),
+        (AvoidanceProblem(5, Fraction(3, 2), Differences.odd()), 1, 120),
+        (AvoidanceProblem(4, Fraction(7, 4), Differences.odd()), 1, 24),
+    ):
+        for canonical, count in ((True, canon_checks), (False, plain_checks)):
+            checked.clear()
+            res = backtrack_longest(prob, canonical=canonical)
+            assert len(checked) == len(set(checked)) == count
+            assert set(checked) <= set(res.maximal_words)
+            if not canonical:
+                assert set(checked) == set(res.maximal_words)
+
+
+def test_recheck_refuses_unclean_and_extendable_words():
+    with pytest.raises(RuntimeError, match=r"an unclean word 000: diff=1 start=0 offset=0 "
+                                           r"period=1 exponent=3/1"):
+        _validate_maximal([b"\0\0\0"], BINARY_CUBES_ODD)
+    # 0011 begins the maximal word 00110011001, so it still extends
+    with pytest.raises(RuntimeError, match=r"a non-maximal word 0011$"):
+        _validate_maximal([w("0011").symbols], BINARY_CUBES_ODD)
+    _validate_maximal([w("00110011001").symbols], BINARY_CUBES_ODD)
 
 
 def test_engine_matches_per_class_oracle():

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apavoid.repetition import Differences, find_repetition
+from apavoid.cli import parse_diffs
+from apavoid.lattice import Grid
+from apavoid.repetition import Differences, Progression, find_repetition, max_exponent
 from apavoid.words import (
     CARPI_MORPHISM,
     FoldingSequence,
@@ -136,6 +138,39 @@ def test_negative_lengths_are_refused_by_name():
     for n, call in calls:
         with pytest.raises(ValueError, match=rf" {n}\b"):
             call()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: Word(b"", 17), r"alphabet size must be in 1\.\.16, not 17$"),
+    (lambda: Word(b"\0\3", 3), r"symbol 3 out of range for alphabet size 3$"),
+    (lambda: Word.from_text("01x2"), r"bad character 'x' at index 2;"),
+    (lambda: Grid(0, 2, b"", 2), r"at least one row and one column, not 0x2$"),
+    (lambda: Grid(2, 2, b"\0\0\0", 2), r"3 cells do not fill the declared 2x2 shape$"),
+    (lambda: Grid(1, 1, b"\0", 17), r"alphabet size must be in 1\.\.16, not 17$"),
+    (lambda: Grid(1, 2, b"\0\5", 4), r"cell symbol 5 out of range for alphabet size 4$"),
+    (lambda: Differences.exactly(0), r"difference of at least 1, not 0$"),
+    (lambda: Differences.odd(-2), r"difference cap must be at least 1, not -2$"),
+    (lambda: Progression(-1, 1, 1), r"start must be nonnegative, not -1$"),
+    (lambda: Progression(0, 0, 1), r"difference must be at least 1, not 0$"),
+    (lambda: Progression(0, 1, -2), r"count must be nonnegative, not -2$"),
+    (lambda: FoldingSequence((0, 2)), r"must be 0 or 1, not 2$"),
+    (lambda: FoldingSequence.parse("012"), r"0/1 string, not '012'$"),
+    (lambda: FoldingSequence((1,)).bit(3), r"no folding instruction at index 3$"),
+    (lambda: perturbed_prefix(ORDINARY, -1), r"fold count must be nonnegative, not -1$"),
+    (lambda: Morphism({}, 2), r"a morphism needs at least one image$"),
+    (lambda: Morphism({0: ()}, 2), r"empty image for symbol 0$"),
+    (lambda: Morphism({0: (0, 2)}, 2), r"image of 0 leaves the alphabet$"),
+    (lambda: iterate_morphism(Morphism({0: (0, 1)}, 2), Word(b"\1", 2), 4),
+     r"no image for symbol 1$"),
+    (lambda: iterate_morphism(Morphism({0: (0, 0), 1: (0,)}, 2), Word(b"\0\1", 2), 5),
+     r"iterates do not extend each other$"),
+    (lambda: present(Word(b"\3", 4), "paperfolding"), r"fit the paperfolding alphabet$"),
+    (lambda: max_exponent(Word(b"", 2)), r"the empty word has no exponent$"),
+    (lambda: parse_diffs("0"), r"--diffs difference must be at least 1, not 0$"),
+])
+def test_errors_name_the_bad_value(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_complement_and_reverse():
