@@ -4,8 +4,16 @@ All three functions take a raw ``bytes`` word. Exponents are compared by
 cross-multiplication against threshold t_num/t_den; a candidate passes when
 length/period >= threshold (or > with strict). Python integers do not
 overflow, so any rational threshold is exact. Periods reported are always
-the smallest period of the witness, which the failure function yields
-directly: the smallest period of a prefix of length m is m - pi[m - 1].
+the smallest period of the witness.
+
+``_prefix_periods`` is the one failure-function loop: it yields the
+smallest period of each prefix, m - pi[m - 1] for the prefix of length m.
+``first_repetition`` and ``max_exponent_pair`` read periods off it, and so
+does ``repetition.smallest_period``. ``clean_after_append`` needs no
+failure function: it tries periods in ascending order, so the first run
+that passes and is longer than every suffix with a period below
+``min_period`` has smallest period p (a smaller period q >= ``min_period``
+of the same run would have passed first, since run/q > run/p).
 
 ``repetition.find_repetition`` runs ``first_repetition`` on a progression
 class from its earliest candidate offset, and the word and grid searches
@@ -23,20 +31,22 @@ def _passes(m, p, t_num, t_den, strict):
     return lhs > rhs if strict else lhs >= rhs
 
 
-def _smallest_period(s, start):
-    # failure function of s[start:], then length minus last border
-    sub = s[start:]
-    n = len(sub)
+def _prefix_periods(s):
+    """Yield the smallest period of each nonempty prefix of s, shortest first."""
+    n = len(s)
+    if not n:
+        return
+    yield 1
     pi = [0] * n
     k = 0
     for i in range(1, n):
-        c = sub[i]
-        while k and sub[k] != c:
+        c = s[i]
+        while k and s[k] != c:
             k = pi[k - 1]
-        if sub[k] == c:
+        if s[k] == c:
             k += 1
         pi[i] = k
-    return n - pi[n - 1] if n else 0
+        yield i + 1 - k
 
 
 def first_repetition(s, t_num, t_den, strict, min_period):
@@ -48,25 +58,9 @@ def first_repetition(s, t_num, t_den, strict, min_period):
     of prefixes never decrease as the prefix grows, which justifies the
     early exit once the winning period is outgrown.
     """
-    n = len(s)
-    for o in range(n):
-        sub = s[o:]
-        ln = n - o
-        pi = [0] * ln
-        best_p = 0
-        best_m = 0
-        if min_period <= 1 and _passes(1, 1, t_num, t_den, strict):
-            best_p, best_m = 1, 1
-        k = 0
-        for i in range(1, ln):
-            c = sub[i]
-            while k and sub[k] != c:
-                k = pi[k - 1]
-            if sub[k] == c:
-                k += 1
-            pi[i] = k
-            m = i + 1
-            p = m - k
+    for o in range(len(s)):
+        best_p = best_m = 0
+        for m, p in enumerate(_prefix_periods(s[o:]), 1):
             if best_p:
                 if p == best_p:
                     best_m = m
@@ -76,10 +70,10 @@ def first_repetition(s, t_num, t_den, strict, min_period):
                 best_p, best_m = p, m
         if best_p:
             return o, best_p, best_m
-        if ln - k < min_period:
-            # the loop ran to the end, so ln - k is the smallest period of
-            # s[o:]; every factor of s[o:] has a period below min_period too,
-            # so no later offset can hold a repetition either
+        if p < min_period:
+            # the loop ran to the end, so p is the smallest period of s[o:];
+            # every factor of s[o:] has a period below min_period too, so no
+            # later offset can hold a repetition either
             return None
     return None
 
@@ -88,12 +82,24 @@ def clean_after_append(s, t_num, t_den, strict, min_period):
     """True when no suffix of s reaches the threshold.
 
     Assumes every proper prefix of s was already clean, so only witnesses
-    ending at the last position can exist. For each candidate period the
-    maximal suffix run is grown backwards; a passing run only counts when
-    the candidate period is genuinely the smallest period of the run,
-    otherwise the same witness is owned by a smaller period.
+    ending at the last position can exist. Periods p >= min_period are tried
+    in ascending order, each growing its maximal suffix run backwards, and
+    the first passing run is a witness of smallest period p. The exception
+    is a run that also has a period below min_period: with min_period > 1,
+    ``low`` is the longest suffix with such a period, found by one backward
+    run per smaller period, and a passing run counts only when it is longer.
+    When the whole word is that suffix, no witness can count at all.
     """
     n = len(s)
+    low = 0
+    if min_period > 1:
+        for q in range(1, min(min_period, n)):
+            i = n - q - 1
+            while i >= 0 and s[i] == s[i + q]:
+                i -= 1
+            low = max(low, n - 1 - i)
+        if low >= n:
+            return True
     p = min_period
     while True:
         cost = p * t_num
@@ -105,7 +111,7 @@ def clean_after_append(s, t_num, t_den, strict, min_period):
         while i >= 0 and s[i] == s[i + p]:
             run += 1
             i -= 1
-        if _passes(run, p, t_num, t_den, strict) and _smallest_period(s, n - run) == p:
+        if run > low and _passes(run, p, t_num, t_den, strict):
             return False
         p += 1
 
@@ -118,22 +124,9 @@ def max_exponent_pair(s):
     Quadratic; the package no longer calls it, and the tests keep it as the
     reference for ``repetition.max_exponent``.
     """
-    n = len(s)
     best_m, best_p = 1, 1
-    for o in range(n):
-        sub = s[o:]
-        ln = n - o
-        pi = [0] * ln
-        k = 0
-        for i in range(1, ln):
-            c = sub[i]
-            while k and sub[k] != c:
-                k = pi[k - 1]
-            if sub[k] == c:
-                k += 1
-            pi[i] = k
-            m = i + 1
-            p = m - k
+    for o in range(len(s)):
+        for m, p in enumerate(_prefix_periods(s[o:]), 1):
             if m * best_p > best_m * p:
                 best_m, best_p = m, p
     return best_m, best_p

@@ -111,10 +111,14 @@ def _read_word(source: str) -> Word:
         text = sys.stdin.read()
     else:
         try:
-            with open(source, "r", encoding="ascii") as fh:
-                text = fh.read()
+            with open(source, "rb") as fh:
+                data = fh.read()
+            text = data.decode("ascii")
         except OSError as exc:
             raise UsageError(f"cannot read {source}: {exc}")
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"cannot read {source}: byte {data[exc.start]:#04x} at position "
+                             f"{exc.start} is not ASCII") from None
     return Word.from_text("".join(text.split()))
 
 

@@ -122,7 +122,8 @@ def smallest_period(w: Word) -> int:
     """Least p >= 1 with w[i] == w[i+p] throughout; length minus border."""
     if len(w) == 0:
         raise ValueError("the empty word has no period")
-    return _backend._smallest_period(w.symbols, 0)
+    *_, p = _backend._prefix_periods(w.symbols)
+    return p
 
 
 def word_exponent(w: Word) -> Fraction:

@@ -116,6 +116,18 @@ def test_check_usage_errors(tmp_path, capsys):
     assert code == 2 and "min_period must be at least 1, not 0" in err
 
 
+def test_check_names_a_non_ascii_byte(tmp_path, capsys):
+    path = tmp_path / "bom.txt"
+    path.write_bytes("\ufeff0101\n".encode("utf-8"))
+    code, out, err = run_cli(capsys, "check", "--input", str(path), "--threshold", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {path}: byte 0xef at position 0 is not ASCII\n"
+    # the position counts from the start of the file
+    path.write_bytes(b"01" * 5000 + b"\xe9\n")
+    code, _, err = run_cli(capsys, "check", "--input", str(path), "--threshold", "2")
+    assert code == 2 and err.endswith("byte 0xe9 at position 10000 is not ASCII\n")
+
+
 # ---------------------------------------------------------------- search
 
 def test_search_exact(capsys):

@@ -8,9 +8,14 @@ import itertools
 import random
 from fractions import Fraction
 
-from apavoid._backend import clean_after_append, first_repetition, max_exponent_pair
+from apavoid._backend import (
+    _prefix_periods,
+    clean_after_append,
+    first_repetition,
+    max_exponent_pair,
+)
 
-from oracles import first_report, max_exponent_scan
+from oracles import first_report, max_exponent_scan, smallest_period_trial
 
 THRESHOLDS = [Fraction(1), Fraction(3, 2), Fraction(7, 4), Fraction(2), Fraction(9, 4),
               Fraction(3), Fraction(2**62 + 1, 2**61)]
@@ -27,6 +32,25 @@ def _periodic_tail_word(rng, hi):
     head = _random_word(rng, 0, 6)
     block = _random_word(rng, 1, 3)
     return (head + block * hi)[: rng.randrange(len(head) + 2, hi + 1)]
+
+
+class Counted(bytes):
+    """A word that counts how often a kernel reads one of its symbols."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_prefix_periods_match_oracle():
+    assert list(_prefix_periods(b"")) == []
+    rng = random.Random(400)
+    for _ in range(200):
+        s = _periodic_tail_word(rng, 30) if rng.random() < 0.4 else _random_word(rng, 1, 30)
+        want = [smallest_period_trial(s[:m]) for m in range(1, len(s) + 1)]
+        assert list(_prefix_periods(s)) == want, s
 
 
 def _check_first_repetition(s, t, strict, min_period):
@@ -79,6 +103,24 @@ def test_clean_after_append_matches_oracle():
             checked += _check_clean_after_append(_word(rng, min_period, 3, 16), t, strict,
                                                  min_period)
     assert checked > 1000
+    # tails up to 48 long whose period is below min_period: the longest
+    # suffix with such a period, which no witness may fit inside, grows long
+    checked = 0
+    for t, strict, min_period in SETTINGS:
+        if min_period > 1:
+            for _ in range(2):
+                checked += _check_clean_after_append(_periodic_tail_word(rng, 48), t, strict,
+                                                     min_period)
+    assert checked > 500
+
+
+def test_clean_after_append_reads_a_low_period_word_a_few_times():
+    # the whole word has a period below min_period, so no suffix can be a
+    # witness; one backward run per smaller period shows it
+    for s in (bytes(600), b"\1\0" * 300):
+        word = Counted(s)
+        assert clean_after_append(word, 7, 4, False, 3)
+        assert word.reads <= 8 * len(s), word.reads / len(s)
 
 
 def test_max_exponent_pair_matches_oracle():

@@ -267,6 +267,14 @@ def test_confirm_unavoidable_budget_exhausted():
     assert v.max_length is None and v.nodes == 500
 
 
+def test_min_period_search_grows_a_constant_word_within_budget():
+    # the all-zero word stays clean when min_period is 2, so the walk dives
+    # until the budget trips; each node's kernel call sees a period-1 tail
+    prob = AvoidanceProblem(2, Fraction(7, 4), Differences.odd(), min_period=2)
+    res = backtrack_longest(prob, canonical=True, node_budget=400)
+    assert (res.budget_exhausted, res.nodes_visited) == (True, 400)
+
+
 def test_negative_budget_is_rejected():
     prob = AvoidanceProblem(3, Fraction(2), Differences.exactly(1))
     with pytest.raises(ValueError, match=r"node budget must be nonnegative, not -1"):
