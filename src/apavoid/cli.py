@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import lattice, words
 from .repetition import Differences, _checked_threshold, find_repetition
 from .search import AvoidanceProblem, backtrack_longest
-from .words import FoldingSequence, Word
+from .words import FoldingSequence, Word, _CHARS
 
 
 class UsageError(ValueError):
@@ -107,19 +107,30 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _read_word(source: str) -> Word:
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    """The word in a file, or on stdin for "-": symbol digits, whitespace ignored.
+
+    Errors give the bad byte's position in the input as read.
+    """
+    name = "stdin" if source == "-" else source
+    try:
+        if source == "-":
+            data = sys.stdin.buffer.read()
+        else:
             with open(source, "rb") as fh:
                 data = fh.read()
-            text = data.decode("ascii")
-        except OSError as exc:
-            raise UsageError(f"cannot read {source}: {exc}")
-        except UnicodeDecodeError as exc:
-            raise UsageError(f"cannot read {source}: byte {data[exc.start]:#04x} at position "
-                             f"{exc.start} is not ASCII") from None
-    return Word.from_text("".join(text.split()))
+    except OSError as exc:
+        raise UsageError(f"cannot read {name}: {exc}")
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {name}: byte {data[exc.start]:#04x} at position "
+                         f"{exc.start} is not ASCII") from None
+    try:
+        return Word.from_text("".join(text.split()))
+    except ValueError:
+        i, c = next((i, c) for i, c in enumerate(text) if not (c in _CHARS or c.isspace()))
+        raise UsageError(f"{name}: bad character {c!r} at position {i}; word text may only "
+                         f"contain {_CHARS!r} and whitespace") from None
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

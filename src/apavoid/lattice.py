@@ -24,14 +24,13 @@ from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from . import _backend
 from .repetition import (Differences, RepetitionReport, _checked_threshold,
                          _difference_flagged, _min_run, find_repetition)
-from .search import _backtrack
+from .search import _backtrack, _closing_symbols
 from .words import MAX_ALPHABET, Word, _CHARS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Grid:
     """Row-major rectangle of symbols; factors records a product alphabet."""
 
@@ -98,7 +97,7 @@ class Grid:
         return cls(rows, cols, bytes(cells), alphabet)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineSpec:
     """A maximal straight run of cells: start, primitive step, cell count."""
 
@@ -248,7 +247,7 @@ def verify_grid(
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridSearchOutcome:
     status: str  # "satisfiable", "infeasible", or "budget_exhausted"
     side: int
@@ -271,8 +270,8 @@ def _grid_rule(alphabet_size: int, t: Fraction, side: int, strict: bool, min_per
     placed. So the rule is the set of symbols p steps back on the chains
     whose r - 1 agreements hold: exactly those that close a repetition,
     with min_period 1. With min_period > 1, or with r = 0 (threshold 1, not
-    strict), they are only candidates, kept if
-    ``_backend.clean_after_append`` rejects one of the cell's rays.
+    strict), they are only candidates, kept by ``search._closing_symbols``
+    if ``_backend.clean_after_append`` rejects one of the cell's rays.
     """
     total = side * side
     t_num, t_den = t.numerator, t.denominator
@@ -325,9 +324,7 @@ def _grid_rule(alphabet_size: int, t: Fraction, side: int, strict: bool, min_per
         if exact or not ban:
             return ban
         placed = [bytes(map(values.__getitem__, ray[:-1])) for ray in rays_at[cell]]
-        return {sym for sym in ban if not all(
-            _backend.clean_after_append(head + bytes((sym,)), t_num, t_den, strict, min_period)
-            for head in placed)}
+        return _closing_symbols(ban, placed, t_num, t_den, strict, min_period)
 
     return forbidden
 

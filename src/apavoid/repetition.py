@@ -17,7 +17,7 @@ from . import _backend
 from .words import FoldingSequence, Word, folding_bits_needed, paperfolding_prefix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Progression:
     """Positions start, start+difference, ..., count terms in all."""
 
@@ -38,7 +38,7 @@ class Progression:
         return range(self.start, stop, self.difference)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RepetitionReport:
     """A found repetition: where it lives and how strong it is.
 
@@ -60,7 +60,7 @@ class RepetitionReport:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Differences:
     """Which differences an AP scan visits: all of them, odd only, or one.
 

@@ -3,8 +3,10 @@
 The predicates are hereditary (every prefix of a good word or grid is good),
 so one engine walks the positions depth first, symbols ascending, and on
 entering a position asks a rule which symbols would close a repetition
-there: one class per difference for words, witness chains for grids. Node
-counts are symbols tried and are deterministic for a given problem.
+there. Both rules read the answer off witness chains, the agreements
+already placed that a repetition ending at the new position needs: along
+the class of each difference for words, along each backward ray for grids.
+Node counts are symbols tried and are deterministic for a given problem.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from itertools import permutations
 from typing import Callable
 
 from . import _backend
-from .repetition import Differences, _checked_threshold, find_repetition
+from .repetition import Differences, _checked_threshold, _min_run, find_repetition
 from .words import MAX_ALPHABET, Word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AvoidanceProblem:
     """What to avoid: exponent threshold over selected differences."""
 
@@ -39,7 +41,7 @@ class AvoidanceProblem:
             raise ValueError(f"length cap must be at least 1, not {self.length_cap}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchResult:
     """Exact extremal answer, unless capped or out of budget (then
     maximal_words is empty)."""
@@ -52,7 +54,7 @@ class SearchResult:
     budget_exhausted: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnavoidabilityVerdict:
     status: str  # "finite" or "budget_exhausted"
     max_length: int | None
@@ -107,45 +109,112 @@ def _backtrack(alphabet_size: int, forbidden: Callable[[bytearray, int], set[int
             sym += 1
 
 
+def _closing_symbols(candidates: set[int], heads: list[bytes | bytearray], t_num: int,
+                     t_den: int, strict: bool, min_period: int) -> set[int]:
+    """The candidates whose append to one of the heads makes it unclean.
+
+    The word and grid rules read candidates off witness chains; where a
+    chain alone cannot decide (min_period > 1, or threshold 1 not strict),
+    each candidate is confirmed by ``_backend.clean_after_append`` on every
+    head: the placed part of a class or ray through the new position.
+    """
+    return {sym for sym in candidates if not all(
+        _backend.clean_after_append(head + bytes((sym,)), t_num, t_den, strict, min_period)
+        for head in heads)}
+
+
 def _word_rule(problem: AvoidanceProblem) -> Callable[[bytes | bytearray, int], set[int]]:
-    """The symbols below limit whose append makes a clean prefix unclean: a new
-    witness ends at the new position, so each difference checks one class."""
+    """The symbols below limit whose append at position n closes a repetition.
+
+    Only repetitions ending at n need a check. One of period p on the class
+    of difference j through n has r = _min_run(p) agreements p*j apart, the
+    last pairing n with n - p*j; so it exists exactly when the r - 1 pairs
+    (n - k*j, n - k*j - p*j), k = 1..r-1, already agree among the placed
+    symbols (a witness chain, which needs p + r <= n//j + 1), and the new
+    symbol equals the one at n - p*j. The rule bans those symbols: exactly
+    the closing ones, with min_period 1. With min_period > 1, or with r = 0
+    (threshold 1, not strict), they are only candidates, confirmed as the
+    grid rule's are. The answer depends on the prefix alone, so the rule can
+    be asked about any prefix, in or out of a walk.
+
+    On each class, a chain with r = 1 holds with nothing to check. Any
+    other holds only if its pair nearest n agrees, so rfind on the class
+    finds the periods worth a look, and two slices compare the rest.
+    """
     t_num, t_den = problem.threshold.numerator, problem.threshold.denominator
     strict, min_period = problem.strict, problem.min_period
     candidates = problem.differences.candidates
-    clean = _backend.clean_after_append
+    r0 = _min_run(min_period, t_num, t_den, strict)
+    exact = min_period == 1 and r0 > 0
+    r1s = [0]  # r - 1 for each period p >= 1
+    # for m placed symbols on a class: the largest period p >= min_period
+    # with p + r1s[p] <= m, else min_period - 1; p + r1s[p] grows with p
+    reach: list[int] = []
 
     def forbidden(prefix: bytes | bytearray, limit: int) -> set[int]:
-        last = len(prefix)
-        diffs = candidates(last + 1)
-        out = set()
-        for sym in range(limit):
-            cand = prefix + bytes((sym,))
-            for j in diffs:
-                if not clean(cand[last % j :: j], t_num, t_den, strict, min_period):
-                    out.add(sym)
+        n = len(prefix)
+        diffs = candidates(n + 1)
+        while len(reach) <= n:
+            m, p = len(reach), (reach[-1] if reach else min_period - 1)
+            while True:
+                while len(r1s) <= p + 1:
+                    r1s.append(_min_run(len(r1s), t_num, t_den, strict) - 1)
+                if p + 1 + r1s[p + 1] > m:
                     break
-        return out
+                p += 1
+            reach.append(p)
+        ban = set()
+        for j in diffs:
+            m = n // j  # placed symbols on the class; the new one is its (m+1)-th
+            top = reach[m]
+            if top < min_period:
+                break  # m only falls as j grows
+            if r0 == 0:  # every symbol makes a factor of exponent 1
+                ban.update(range(limit))
+                break
+            head = prefix[n % j :: j]
+            p = min_period
+            while p <= top and not r1s[p]:  # r = 1
+                ban.add(head[m - p])
+                p += 1
+            c, lo = head[-1], m - 1 - top
+            i = head.rfind(c, lo, m - p)
+            while i >= 0:  # period m - 1 - i has its pair nearest n agreeing
+                r1 = r1s[m - 1 - i]
+                if head[m - r1 :] == head[i + 1 - r1 : i + 1]:
+                    ban.add(head[i + 1])
+                i = head.rfind(c, lo, i)
+        if ban and max(ban) >= limit:  # a limit below a placed symbol
+            ban = {sym for sym in ban if sym < limit}
+        if exact or not ban:
+            return ban
+        return _closing_symbols(ban, [prefix[n % j :: j] for j in diffs],
+                                t_num, t_den, strict, min_period)
 
     return forbidden
 
 
 def _longest_words(problem: AvoidanceProblem, canonical: bool,
                    node_budget: int | None) -> tuple[int, list[bytes], int, bool]:
-    best = [b""]
+    cap = problem.length_cap
+    longest = 0
+    best: list[bytes] = []
 
     def record(prefix: bytearray) -> bool:
-        # keep the longest clean words; grow a word until it reaches the cap
+        # keep the longest clean words below the cap, where a capped answer
+        # needs none; grow a word until it reaches the cap
+        nonlocal longest
         n = len(prefix)
-        if n > len(best[0]):
-            best[:] = [bytes(prefix)]
-        elif n == len(best[0]):
+        if n > longest:
+            longest = n
+            best.clear()
+        if n == longest and n != cap:
             best.append(bytes(prefix))
-        return problem.length_cap is None or n < problem.length_cap
+        return n != cap
 
     nodes, budget_hit, _ = _backtrack(problem.alphabet_size, _word_rule(problem), record,
                                       node_budget, canonical)
-    return len(best[0]), best, nodes, budget_hit
+    return longest, best, nodes, budget_hit
 
 
 def backtrack_longest(problem: AvoidanceProblem, *, canonical: bool = False,

@@ -20,7 +20,7 @@ class InsufficientFoldingBits(ValueError):
     """Raised when a construction needs more folding instructions than given."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """An immutable word; symbols are ints in ``range(alphabet_size)``."""
 
@@ -84,7 +84,7 @@ def reverse_word(w: Word) -> Word:
     return Word(w.symbols[::-1], w.alphabet_size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FoldingSequence:
     """A stream of folding instructions, one bit per fold.
 

@@ -14,6 +14,10 @@ from apavoid.lattice import export_ppm, product_grid
 from apavoid.words import FoldingSequence, four_letter_squarefree
 
 
+def _stdin(data):
+    return io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -97,7 +101,7 @@ def test_check_violation_report(tmp_path, capsys):
 
 
 def test_check_stdin(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("000\n"))
+    monkeypatch.setattr(sys, "stdin", _stdin(b"000\n"))
     code, out, _ = run_cli(capsys, "check", "--input", "-", "--threshold", "3",
                            "--diffs", "1")
     assert code == 1 and out == "diff=1 start=0 offset=0 period=1 exponent=3/1\n"
@@ -126,6 +130,27 @@ def test_check_names_a_non_ascii_byte(tmp_path, capsys):
     path.write_bytes(b"01" * 5000 + b"\xe9\n")
     code, _, err = run_cli(capsys, "check", "--input", str(path), "--threshold", "2")
     assert code == 2 and err.endswith("byte 0xe9 at position 10000 is not ASCII\n")
+
+
+def test_check_reads_stdin_as_bytes(monkeypatch, capsys):
+    # stdin gets the message a file gets, whatever the locale's codec
+    monkeypatch.setattr(sys, "stdin", _stdin(b"01\xe9\n"))
+    code, out, err = run_cli(capsys, "check", "--input", "-", "--threshold", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read stdin: byte 0xe9 at position 2 is not ASCII\n"
+
+
+def test_check_names_a_bad_character_by_input_position(tmp_path, monkeypatch, capsys):
+    # the position counts whitespace, as the input holds it
+    path = tmp_path / "word.txt"
+    path.write_bytes(b"0101\n01x0\n")
+    code, out, err = run_cli(capsys, "check", "--input", str(path), "--threshold", "2")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}: bad character 'x' at position 7; word text may only "
+                   "contain '0123456789abcdef' and whitespace\n")
+    monkeypatch.setattr(sys, "stdin", _stdin(b" 0 1\t\nz"))
+    code, _, err = run_cli(capsys, "check", "--input", "-", "--threshold", "2")
+    assert code == 2 and err.startswith("error: stdin: bad character 'z' at position 6;")
 
 
 # ---------------------------------------------------------------- search
@@ -319,7 +344,7 @@ def test_readme_commands(tmp_path, monkeypatch, capsys):
             stdin = shlex.split(feed)[1] + "\n"
         argv = shlex.split(line)
         assert argv[0] == "apavoid", line
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        monkeypatch.setattr(sys, "stdin", _stdin(stdin.encode()))
         try:
             code = main(argv[1:])
         except SystemExit as exc:  # argparse refuses an unknown flag or choice

@@ -1,6 +1,7 @@
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -183,32 +184,42 @@ def test_engine_matches_per_class_oracle():
 # ---------------------------------------------------------------- the word rule
 
 def test_word_rule_matches_full_recheck():
+    # one rule per problem, asked about clean prefixes grown at random to 120
+    # symbols; it must ban exactly the symbols after which some class
+    # through the new position is unclean
     rng = random.Random(31337)
-    checked = 0
-    while checked < 200:
-        k = rng.choice((2, 3))
-        t = rng.choice((Fraction(2), Fraction(3), Fraction(5, 2)))
-        prob = AvoidanceProblem(
-            k, t,
-            rng.choice((Differences.odd(), Differences.all(), Differences.exactly(1))),
-            strict=rng.random() < 0.3,
-            min_period=rng.choice((1, 1, 2)),
-        )
-        word = Word(bytes(rng.randrange(k) for _ in range(rng.randrange(0, 20))), k)
-        if len(word) and find_repetition(word, prob.threshold, strict=prob.strict,
-                                         min_period=prob.min_period,
-                                         differences=prob.differences) is not None:
-            continue  # the rule assumes a clean base
-        forbidden = _word_rule(prob)(word.symbols, k)
-        for sym in range(k):
-            grew = Word(word.symbols + bytes([sym]), k)
-            full = find_repetition(grew, prob.threshold, strict=prob.strict,
-                                   min_period=prob.min_period,
-                                   differences=prob.differences) is None
-            assert (sym not in forbidden) == full
-        # a lower limit asks about the symbols below it only
-        assert _word_rule(prob)(word.symbols, 1) == forbidden & {0}
-        checked += 1
+    thresholds = (Fraction(1), Fraction(3, 2), Fraction(7, 4), Fraction(2), Fraction(5, 2),
+                  Fraction(3))
+    selectors = (Differences.odd(), Differences.all(), Differences.odd(5), Differences.all(3),
+                 Differences.exactly(3))
+    longest = 0
+    for t, strict, min_period, diffs in product(thresholds, (False, True), (1, 2, 3), selectors):
+        k = rng.choice((2, 3, 4))
+        prob = AvoidanceProblem(k, t, diffs, strict=strict, min_period=min_period)
+        rule = _word_rule(prob)
+        word = b""
+        while len(word) < 120:
+            n = len(word)
+            clean = [sym for sym in range(k) if all(
+                clean_after_append((word + bytes((sym,)))[n % j :: j], t.numerator,
+                                   t.denominator, strict, min_period)
+                for j in diffs.candidates(n + 1))]
+            forbidden = rule(word, k)
+            assert forbidden == set(range(k)) - set(clean), (prob, word)
+            # a lower limit asks about the symbols below it only
+            limit = rng.randrange(1, k + 1)
+            assert rule(word, limit) == forbidden & set(range(limit)), (prob, word, limit)
+            if not clean:
+                break
+            word += bytes((rng.choice(clean),))
+        assert find_repetition(Word(word, k), t, strict=strict, min_period=min_period,
+                               differences=diffs) is None
+        # asked about a shorter prefix after a long one, the rule answers as a
+        # new rule does
+        cut = word[: rng.randrange(len(word) + 1)]
+        assert rule(cut, k) == _word_rule(prob)(cut, k), (prob, cut)
+        longest = max(longest, len(word))
+    assert longest == 120
 
 
 def test_word_rule_forbids_both_letters_after_claimed_cube_block():
@@ -245,6 +256,20 @@ def test_length_cap_reports_capped():
     prob = AvoidanceProblem(2, Fraction(3), Differences.exactly(1), length_cap=12)
     res = backtrack_longest(prob)
     assert res.capped and res.max_length == 12 and res.maximal_words == ()
+
+
+def test_capped_search_stores_no_words():
+    # a capped answer carries no words, so the walk keeps none at the cap
+    prob = AvoidanceProblem(4, Fraction(2), Differences.odd(), length_cap=16)
+    tracemalloc.start()
+    try:
+        res = backtrack_longest(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.max_length, res.nodes_visited, res.capped, res.maximal_words) == \
+        (16, 59828, True, ())
+    assert peak < 64 * 1024
 
 
 def test_length_cap_above_true_maximum_is_harmless():

@@ -1,12 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apavoid.cli import parse_diffs
-from apavoid.lattice import Grid
-from apavoid.repetition import Differences, Progression, find_repetition, max_exponent
+from apavoid.lattice import Grid, GridSearchOutcome, LineSpec
+from apavoid.repetition import (Differences, Progression, RepetitionReport, find_repetition,
+                                max_exponent)
+from apavoid.search import AvoidanceProblem, SearchResult, UnavoidabilityVerdict
 from apavoid.words import (
     CARPI_MORPHISM,
     FoldingSequence,
@@ -289,3 +292,16 @@ def test_present_roundtrip(n):
     w = four_letter_squarefree(ORDINARY, n)
     text = present(w, "v")
     assert len(text) == n and set(text) <= set("1234")
+
+
+def test_value_types_keep_no_instance_dict():
+    # searches hold many of these; with slots a Word takes 56 bytes, not 99
+    values = (
+        Word(b"\0\1", 2), FoldingSequence.ordinary(), Differences.odd(), Progression(0, 1, 2),
+        RepetitionReport(Progression(0, 1, 2), 0, 1, Fraction(2)),
+        AvoidanceProblem(2, 2, Differences.odd()), SearchResult(2, (), 6, False),
+        UnavoidabilityVerdict("finite", 2, 10), Grid(1, 1, b"\0", 1), LineSpec(0, 0, 0, 1, 2),
+        GridSearchOutcome("infeasible", 2, 48),
+    )
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value).__name__
