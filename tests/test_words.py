@@ -295,7 +295,7 @@ def test_present_roundtrip(n):
 
 
 def test_value_types_keep_no_instance_dict():
-    # searches hold many of these; with slots a Word takes 56 bytes, not 99
+    # searches hold many of these; with slots a Word object takes 48 bytes, not 89
     values = (
         Word(b"\0\1", 2), FoldingSequence.ordinary(), Differences.odd(), Progression(0, 1, 2),
         RepetitionReport(Progression(0, 1, 2), 0, 1, Fraction(2)),
