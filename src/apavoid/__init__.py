@@ -23,12 +23,10 @@ from .repetition import (
     Differences,
     Progression,
     RepetitionReport,
-    ap_subsequence,
     check_parity_separation,
     find_repetition,
     find_spaced_repeat,
     has_power_of_period,
-    has_square_of_period,
     lex_least_check,
     max_exponent,
     paperfolding_subwords,
@@ -36,7 +34,6 @@ from .repetition import (
     smallest_period,
     square_periods,
     subword_set,
-    word_exponent,
 )
 from .search import (
     AvoidanceProblem,
@@ -79,10 +76,10 @@ __all__ = [
     "four_letter_squarefree", "ternary_overlapfree",
     "binary_large_squarefree", "present",
     # repetition
-    "Progression", "Differences", "RepetitionReport", "ap_subsequence",
-    "smallest_period", "word_exponent", "max_exponent", "find_repetition",
-    "find_spaced_repeat", "has_power_of_period", "has_square_of_period",
-    "square_periods", "subword_set", "paperfolding_subwords",
+    "Progression", "Differences", "RepetitionReport", "smallest_period",
+    "max_exponent", "find_repetition", "find_spaced_repeat",
+    "has_power_of_period", "square_periods", "subword_set",
+    "paperfolding_subwords",
     "saturated_paperfolding_subwords", "check_parity_separation",
     "lex_least_check",
     # search

@@ -1,8 +1,10 @@
-"""The exact repetition kernels, in pure Python.
+"""The exact repetition kernels and the threshold arithmetic, in pure Python.
 
-All three functions take a raw ``bytes`` word. Exponents are compared by
-cross-multiplication against threshold t_num/t_den; a candidate passes when
-length/period >= threshold (or > with strict). Python integers do not
+All three kernels take a raw ``bytes`` word. A candidate of length m and
+period p passes when m/p >= t_num/t_den (or > with strict). The package
+asks that question in two integer forms: ``_top_period(m)``, the largest
+period a run of m symbols can repeat at, and ``_min_run(p)``, how many
+agreements p apart a repetition of period p needs. Python integers do not
 overflow, so any rational threshold is exact. Periods reported are always
 the smallest period of the witness.
 
@@ -25,10 +27,24 @@ run ``clean_after_append`` on each class through a newly placed symbol.
 BACKEND = "pure"
 
 
-def _passes(m, p, t_num, t_den, strict):
-    lhs = m * t_den
-    rhs = p * t_num
-    return lhs > rhs if strict else lhs >= rhs
+def _top_period(m, t_num, t_den, strict):
+    """Largest p with m / p >= t_num / t_den (> when strict).
+
+    Every p <= _top_period(m) passes, and exactly those p have
+    p + _min_run(p) <= m, so a period loop over a run of m symbols is
+    ``range(min_period, _top_period(m) + 1)``.
+    """
+    return (m * t_den - 1) // t_num if strict else m * t_den // t_num
+
+
+def _min_run(p, t_num, t_den, strict):
+    """Least r >= 0 with (p + r) / p >= t_num / t_den (> when strict).
+
+    A factor of period p and length p + r has exponent at least (p + r) / p,
+    so r is how many positions must agree p steps apart.
+    """
+    excess = p * (t_num - t_den)
+    return excess // t_den + 1 if strict else -(-excess // t_den)
 
 
 def _prefix_periods(s):
@@ -66,7 +82,7 @@ def first_repetition(s, t_num, t_den, strict, min_period):
                     best_m = m
                 elif p > best_p:
                     break
-            elif p >= min_period and _passes(m, p, t_num, t_den, strict):
+            elif min_period <= p <= _top_period(m, t_num, t_den, strict):
                 best_p, best_m = p, m
         if best_p:
             return o, best_p, best_m
@@ -79,7 +95,7 @@ def first_repetition(s, t_num, t_den, strict, min_period):
 
 
 def clean_after_append(s, t_num, t_den, strict, min_period):
-    """True when no suffix of s reaches the threshold.
+    """True when no suffix of s passes the threshold.
 
     Assumes every proper prefix of s was already clean, so only witnesses
     ending at the last position can exist. Periods p >= min_period are tried
@@ -100,20 +116,15 @@ def clean_after_append(s, t_num, t_den, strict, min_period):
             low = max(low, n - 1 - i)
         if low >= n:
             return True
-    p = min_period
-    while True:
-        cost = p * t_num
-        bound = n * t_den
-        if cost > bound or (strict and cost == bound):
-            return True
+    for p in range(min_period, _top_period(n, t_num, t_den, strict) + 1):
         run = p
         i = n - p - 1
         while i >= 0 and s[i] == s[i + p]:
             run += 1
             i -= 1
-        if run > low and _passes(run, p, t_num, t_den, strict):
+        if run > low and p <= _top_period(run, t_num, t_den, strict):
             return False
-        p += 1
+    return True
 
 
 def max_exponent_pair(s):

@@ -24,8 +24,9 @@ from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterator
 
+from ._backend import _min_run, _top_period
 from .repetition import (Differences, RepetitionReport, _checked_threshold,
-                         _difference_flagged, _min_run, find_repetition)
+                         _difference_flagged, find_repetition)
 from .search import _backtrack, _closing_symbols
 from .words import MAX_ALPHABET, Word, _CHARS
 
@@ -299,11 +300,8 @@ def _grid_rule(alphabet_size: int, t: Fraction, side: int, strict: bool, min_per
     for cell, rays in enumerate(rays_at):
         for ray in rays:
             n = len(ray)
-            p = min_period
-            while True:
+            for p in range(min_period, _top_period(n, t_num, t_den, strict) + 1):
                 r = _min_run(p, t_num, t_den, strict)
-                if p + r > n:
-                    break
                 if r == 0:
                     open_cell[cell] = True
                     break
@@ -312,7 +310,6 @@ def _grid_rule(alphabet_size: int, t: Fraction, side: int, strict: bool, min_per
                 else:
                     chained[cell].append((itemgetter(*ray[n - p - r : n - p - 1]),
                                           itemgetter(*ray[n - r : n - 1]), ray[n - 1 - p]))
-                p += 1
     exact = min_period == 1 and not any(open_cell)
 
     def forbidden(values: bytearray, limit: int) -> set[int]:
@@ -374,19 +371,17 @@ DEFAULT_PALETTE: tuple[tuple[int, int, int], ...] = (
 )
 
 
-def export_ppm(g: Grid, path, palette=None) -> None:
-    """Plain PPM (P3), one pixel per cell, rows top to bottom.
+def export_ppm(g: Grid, path) -> None:
+    """Plain PPM (P3), one pixel per cell, rows top to bottom, in
+    ``DEFAULT_PALETTE``, which has a color for each of the 16 symbols a grid
+    may use.
 
     Written in binary mode so the bytes do not depend on platform newline
     handling.
     """
-    if palette is None:
-        palette = DEFAULT_PALETTE
-    if len(palette) < g.alphabet_size:
-        raise ValueError(f"palette has {len(palette)} colors, need {g.alphabet_size}")
     chunks = [f"P3\n{g.cols} {g.rows}\n255\n"]
     for s in g.cells:
-        r, gg, b = palette[s]
+        r, gg, b = DEFAULT_PALETTE[s]
         chunks.append(f"{r} {gg} {b}\n")
     data = "".join(chunks).encode("ascii")
     with open(path, "wb") as fh:

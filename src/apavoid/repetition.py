@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import _backend
-from .words import FoldingSequence, Word, folding_bits_needed, paperfolding_prefix
+from ._backend import _min_run, _top_period
+from .words import FoldingSequence, Word, paperfolding_prefix
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,22 +103,6 @@ class Differences:
         return range(1, top + 1, 2 if self.kind == "odd" else 1)
 
 
-def ap_subsequence(w: Word, progression: Progression) -> Word:
-    """Symbols of w along the progression, as a word."""
-    n = len(w)
-    if progression.count == 0:
-        return Word(b"", w.alphabet_size)
-    last = progression.start + (progression.count - 1) * progression.difference
-    if last >= n:
-        if progression.start >= n:
-            bad = progression.start
-        else:
-            steps = -(-(n - progression.start) // progression.difference)
-            bad = progression.start + steps * progression.difference
-        raise ValueError(f"position {bad} is outside the word (length {n})")
-    return Word(w.symbols[progression.start : last + 1 : progression.difference], w.alphabet_size)
-
-
 def smallest_period(w: Word) -> int:
     """Least p >= 1 with w[i] == w[i+p] throughout; length minus border."""
     if len(w) == 0:
@@ -126,25 +111,11 @@ def smallest_period(w: Word) -> int:
     return p
 
 
-def word_exponent(w: Word) -> Fraction:
-    return Fraction(len(w), smallest_period(w))
-
-
 def _mismatches(s: bytes, shift: int) -> bytes:
     """Byte i is zero exactly when s[i] == s[i + shift]; one big-integer xor."""
     size = len(s) - shift
     x = int.from_bytes(s[:size], "big") ^ int.from_bytes(s[shift:], "big")
     return x.to_bytes(size, "big")
-
-
-def _min_run(p: int, t_num: int, t_den: int, strict: bool) -> int:
-    """Least r >= 0 with (p + r) / p reaching t_num / t_den (exceeding it when strict).
-
-    A factor of period p and length p + r has exponent at least (p + r) / p,
-    so r is how many positions must agree p steps apart. Integers only.
-    """
-    excess = p * (t_num - t_den)
-    return excess // t_den + 1 if strict else -(-excess // t_den)
 
 
 def _checked_threshold(threshold: Fraction | int | str, min_period: int) -> Fraction:
@@ -166,7 +137,8 @@ def max_exponent(w: Word, *, size_cap: int = 8192) -> Fraction:
     exponent at least (r + p) / p. For p = 1, 2, ... the word is xored with
     itself shifted by p, and bytes.find looks for a zero run long enough to
     beat the best exponent so far; a found run is grown to its end. The scan
-    stops at the first p where no such run fits.
+    stops once p passes the largest period at which a run can still beat the
+    best, which falls each time the best improves.
 
     The byte work is still quadratic in the worst case, so inputs beyond
     size_cap are rejected rather than silently taking minutes; pass a bigger
@@ -179,18 +151,17 @@ def max_exponent(w: Word, *, size_cap: int = 8192) -> Fraction:
     s = w.symbols
     n = len(s)
     best = Fraction(1)
-    p = 1
-    while True:
-        need = _min_run(p, best.numerator, best.denominator, True)
-        if p + need > n:
-            return best
+    p, top = 1, _top_period(n, 1, 1, True)
+    while p <= top:
         diff = _mismatches(s, p)
-        i = diff.find(bytes(need))
+        i = diff.find(bytes(_min_run(p, best.numerator, best.denominator, True)))
         while i >= 0:
             stop = len(diff) - len(diff[i:].lstrip(b"\0"))
             best = Fraction(stop - i + p, p)
+            top = _top_period(n, best.numerator, best.denominator, True)
             i = diff.find(bytes(stop - i + 1), stop)
         p += 1
+    return best
 
 
 def _difference_flagged(s: bytes, j: int, t_num: int, t_den: int, strict: bool,
@@ -217,11 +188,8 @@ def _difference_flagged(s: bytes, j: int, t_num: int, t_den: int, strict: bool,
     n = len(s)
     if longest is None:
         longest = -(-n // j)
-    p = min_period
-    while True:
+    for p in range(min_period, _top_period(longest, t_num, t_den, strict) + 1):
         r = _min_run(p, t_num, t_den, strict)
-        if p + r > longest:
-            return False
         if r == 0:
             return True
         size = n - p * j
@@ -235,7 +203,7 @@ def _difference_flagged(s: bytes, j: int, t_num: int, t_den: int, strict: bool,
             covered += step
         if e.to_bytes(size, "big").find(0, (r - 1) * j) >= 0:
             return True
-        p += 1
+    return False
 
 
 def _first_candidate(ap: bytes, t_num: int, t_den: int, strict: bool,
@@ -247,11 +215,8 @@ def _first_candidate(ap: bytes, t_num: int, t_den: int, strict: bool,
     """
     m = len(ap)
     best = None
-    p = min_period
-    while True:
+    for p in range(min_period, _top_period(m, t_num, t_den, strict) + 1):
         r = _min_run(p, t_num, t_den, strict)
-        if p + r > m:
-            return best
         if r == 0:
             return 0
         i = _mismatches(ap, p).find(bytes(r), 0, m if best is None else best - 1 + r)
@@ -259,7 +224,7 @@ def _first_candidate(ap: bytes, t_num: int, t_den: int, strict: bool,
             return 0
         if i > 0:
             best = i
-        p += 1
+    return best
 
 
 def find_repetition(
@@ -273,7 +238,7 @@ def find_repetition(
     """First repetition at or above the threshold in any scanned progression.
 
     A repetition is a factor of an extracted subsequence whose exponent
-    reaches the threshold (exceeds it when strict) with smallest period at
+    is at least the threshold (above it when strict) with smallest period at
     least min_period. Returns None when every progression is clean.
 
     Each difference is first screened as a whole, one xor-and-find pass per
@@ -342,13 +307,9 @@ def has_power_of_period(w: Word, period: int, k: int) -> bool:
     return _mismatches(s, period).find(bytes((k - 1) * period)) >= 0
 
 
-def has_square_of_period(w: Word, period: int) -> bool:
-    return has_power_of_period(w, period, 2)
-
-
 def square_periods(w: Word, periods: Iterable[int]) -> set[int]:
     """The subset of the given periods that admit a square in w."""
-    return {p for p in periods if has_square_of_period(w, p)}
+    return {p for p in periods if has_power_of_period(w, p, 2)}
 
 
 def subword_set(w: Word, n: int) -> set[Word]:
@@ -360,23 +321,20 @@ def subword_set(w: Word, n: int) -> set[Word]:
     return {Word(b, w.alphabet_size) for b in blocks}
 
 
-def paperfolding_subwords(n: int, depth: int, prefix_len: int | None = None) -> set[Word]:
+def paperfolding_subwords(n: int, depth: int) -> set[Word]:
     """Every length-n block seen in any depth-limited paperfolding prefix.
 
     All 2**(depth+1) instruction streams of depth+1 bits are expanded to
-    prefixes of prefix_len (default: the longest those bits determine,
-    2**(depth+1) - 1) and their length-n blocks are unioned.
+    the longest prefixes those bits determine, 2**(depth+1) - 1 letters,
+    and their length-n blocks are unioned.
     """
+    if n < 1:
+        raise ValueError(f"block length n must be at least 1, not {n}")
     bit_count = depth + 1
-    if prefix_len is None:
-        prefix_len = (1 << bit_count) - 1
+    prefix_len = (1 << bit_count) - 1 if depth >= 0 else 0
     if prefix_len < 2 * n:
-        raise ValueError("prefix_len must be at least 2n for a meaningful block census")
-    if folding_bits_needed(prefix_len) > bit_count:
-        raise ValueError(
-            f"depth {depth} supplies {bit_count} instructions, "
-            f"but length {prefix_len} consumes {folding_bits_needed(prefix_len)}"
-        )
+        raise ValueError(f"depth {depth} gives prefixes of {prefix_len} letters, "
+                         f"fewer than 2n = {2 * n} for block length n = {n}")
     blocks: set[bytes] = set()
     for bits in itertools.product((0, 1), repeat=bit_count):
         s = paperfolding_prefix(FoldingSequence(bits), prefix_len).symbols
@@ -388,12 +346,18 @@ def saturated_paperfolding_subwords(n: int, *, max_depth: int = 12) -> tuple[set
     """Grow the census depth until the block set stops changing.
 
     Saturation means two consecutive depth increments left the set intact.
-    Returns the final set and whether saturation was reached before
-    max_depth. Empirical by design; there is no finite completeness proof.
+    Returns the final set and whether saturation came by max_depth; an n
+    whose first census depth is beyond max_depth is an error. Empirical by
+    design; there is no finite completeness proof.
     """
+    if n < 1:
+        raise ValueError(f"block length n must be at least 1, not {n}")
     start_depth = 1
     while (1 << (start_depth + 1)) - 1 < 2 * n:
         start_depth += 1
+    if start_depth > max_depth:
+        raise ValueError(f"block length n = {n} needs census depth {start_depth}, "
+                         f"beyond max_depth = {max_depth}")
     stable = 0
     prev: set[Word] | None = None
     current: set[Word] = set()

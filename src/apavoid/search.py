@@ -17,7 +17,8 @@ from itertools import permutations
 from typing import Callable
 
 from . import _backend
-from .repetition import Differences, _checked_threshold, _min_run, find_repetition
+from ._backend import _min_run
+from .repetition import Differences, _checked_threshold, find_repetition
 from .words import MAX_ALPHABET, Word
 
 
@@ -130,12 +131,12 @@ def _word_rule(problem: AvoidanceProblem) -> Callable[[bytes | bytearray, int], 
     of difference j through n has r = _min_run(p) agreements p*j apart, the
     last pairing n with n - p*j; so it exists exactly when the r - 1 pairs
     (n - k*j, n - k*j - p*j), k = 1..r-1, already agree among the placed
-    symbols (a witness chain, which needs p + r <= n//j + 1), and the new
-    symbol equals the one at n - p*j. The rule bans those symbols: exactly
-    the closing ones, with min_period 1. With min_period > 1, or with r = 0
-    (threshold 1, not strict), they are only candidates, confirmed as the
-    grid rule's are. The answer depends on the prefix alone, so the rule can
-    be asked about any prefix, in or out of a walk.
+    symbols (a witness chain, which needs p <= _top_period(n//j + 1)), and
+    the new symbol equals the one at n - p*j. The rule bans those symbols:
+    exactly the closing ones, with min_period 1. With min_period > 1, or
+    with r = 0 (threshold 1, not strict), they are only candidates,
+    confirmed as the grid rule's are. The answer depends on the prefix
+    alone, so the rule can be asked about any prefix, in or out of a walk.
 
     On each class, a chain with r = 1 holds with nothing to check. Any
     other holds only if its pair nearest n agrees, so rfind on the class
@@ -147,26 +148,18 @@ def _word_rule(problem: AvoidanceProblem) -> Callable[[bytes | bytearray, int], 
     r0 = _min_run(min_period, t_num, t_den, strict)
     exact = min_period == 1 and r0 > 0
     r1s = [0]  # r - 1 for each period p >= 1
-    # for m placed symbols on a class: the largest period p >= min_period
-    # with p + r1s[p] <= m, else min_period - 1; p + r1s[p] grows with p
-    reach: list[int] = []
+    tight = 1 if strict else 0
 
     def forbidden(prefix: bytes | bytearray, limit: int) -> set[int]:
         n = len(prefix)
         diffs = candidates(n + 1)
-        while len(reach) <= n:
-            m, p = len(reach), (reach[-1] if reach else min_period - 1)
-            while True:
-                while len(r1s) <= p + 1:
-                    r1s.append(_min_run(len(r1s), t_num, t_den, strict) - 1)
-                if p + 1 + r1s[p + 1] > m:
-                    break
-                p += 1
-            reach.append(p)
+        while len(r1s) <= n + 1:  # every period up to _top_period(n + 1) <= n + 1
+            r1s.append(_min_run(len(r1s), t_num, t_den, strict) - 1)
         ban = set()
         for j in diffs:
             m = n // j  # placed symbols on the class; the new one is its (m+1)-th
-            top = reach[m]
+            # _top_period(m + 1), inlined: this runs once per difference per node
+            top = ((m + 1) * t_den - tight) // t_num
             if top < min_period:
                 break  # m only falls as j grows
             if r0 == 0:  # every symbol makes a factor of exponent 1
@@ -202,7 +195,7 @@ def _longest_words(problem: AvoidanceProblem, canonical: bool,
 
     def record(prefix: bytearray) -> bool:
         # keep the longest clean words below the cap, where a capped answer
-        # needs none; grow a word until it reaches the cap
+        # needs none; grow a word until its length is the cap
         nonlocal longest
         n = len(prefix)
         if n > longest:

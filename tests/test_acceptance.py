@@ -21,7 +21,7 @@ from apavoid.repetition import (
     check_parity_separation,
     find_repetition,
     find_spaced_repeat,
-    has_square_of_period,
+    has_power_of_period,
     lex_least_check,
     max_exponent,
     saturated_paperfolding_subwords,
@@ -194,7 +194,7 @@ def test_criterion_09_structure_property_suites():
                 assert check_parity_separation(w, n)
             # no square has a power-of-two period
             for k in range(1, 12):
-                assert not has_square_of_period(w, 1 << k)
+                assert not has_power_of_period(w, 1 << k, 2)
 
 
 def test_criterion_10_subword_census_covers_odd_aps():

@@ -1,4 +1,5 @@
-"""The three exact kernels of ``apavoid._backend`` against the brute-force oracles.
+"""The three exact kernels of ``apavoid._backend`` against the brute-force oracles,
+and its threshold arithmetic against ``Fraction``.
 
 Words have at least two symbols wherever the oracle scans difference 1, since
 it scans no difference on a single symbol. Every case is seeded.
@@ -8,8 +9,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from apavoid._backend import (
+    _min_run,
     _prefix_periods,
+    _top_period,
     clean_after_append,
     first_repetition,
     max_exponent_pair,
@@ -130,3 +135,20 @@ def test_max_exponent_pair_matches_oracle():
         s = _random_word(rng, 2, 24)
         m, p = max_exponent_pair(s)
         assert Fraction(m, p) == max_exponent_scan(s), s
+
+
+@pytest.mark.parametrize("t, strict", [
+    (Fraction(1), False), (Fraction(1), True), (Fraction(3, 2), False), (Fraction(7, 4), False),
+    (Fraction(2), False), (Fraction(2), True), (Fraction(9, 4), False), (Fraction(3), False),
+    (Fraction(2**62 + 1, 2**61), False), (Fraction(2**62 + 1, 2**61), True),
+])
+def test_top_period_is_the_threshold(t, strict):
+    # any truthy strict means strict, as the public strict flags allow
+    for flag in ((True, 1) if strict else (False, 0)):
+        for m in range(201):
+            top = _top_period(m, t.numerator, t.denominator, flag)
+            for p in range(1, m + 2):
+                reaches = Fraction(m, p) > t if strict else Fraction(m, p) >= t
+                assert (p <= top) is reaches, (m, p, t, flag)
+                fits = p + _min_run(p, t.numerator, t.denominator, flag) <= m
+                assert fits is reaches, (m, p, t, flag)

@@ -24,3 +24,15 @@ def test_quick_tour():
             else:
                 exec(compile(code, "README.md", "exec"), namespace)
     assert checked == 9
+
+
+def test_public_names():
+    import apavoid
+
+    names = apavoid.__all__
+    assert len(set(names)) == len(names)
+    assert all(hasattr(apavoid, name) for name in names)
+    namespace: dict = {}
+    exec("from apavoid import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(names)

@@ -9,12 +9,10 @@ from apavoid.repetition import (
     Differences,
     Progression,
     RepetitionReport,
-    ap_subsequence,
     check_parity_separation,
     find_repetition,
     find_spaced_repeat,
     has_power_of_period,
-    has_square_of_period,
     lex_least_check,
     max_exponent,
     paperfolding_subwords,
@@ -22,7 +20,6 @@ from apavoid.repetition import (
     smallest_period,
     square_periods,
     subword_set,
-    word_exponent,
 )
 from apavoid import _backend
 from apavoid.words import (
@@ -34,7 +31,6 @@ from apavoid.words import (
     ternary_overlapfree,
 )
 from oracles import (
-    ap_slice,
     exponent_of,
     first_report,
     first_report_per_progression,
@@ -64,16 +60,15 @@ def test_smallest_period_goldens():
 
 
 def test_word_exponent_goldens():
-    assert word_exponent(w("0101")) == 2
-    assert word_exponent(w("011001100")) == Fraction(9, 4)
-    assert word_exponent(w("0010011")) == 1
+    assert exponent_of(w("0101").symbols) == 2
+    assert exponent_of(w("011001100").symbols) == Fraction(9, 4)
+    assert exponent_of(w("0010011").symbols) == 1
 
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=48))
 def test_smallest_period_matches_trial_division(sym):
     word = Word(bytes(sym), 3)
     assert smallest_period(word) == smallest_period_trial(sym)
-    assert word_exponent(word) == exponent_of(sym)
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=40))
@@ -125,38 +120,6 @@ def test_progression_positions_and_validation():
         Progression(0, 1, -1)
 
 
-def test_ap_subsequence_golden():
-    f = paperfolding_prefix(ORDINARY, 16)
-    assert ap_subsequence(f, Progression(1, 3, 5)).to_text() == "00011"
-    assert ap_subsequence(f, Progression(3, 1, 4)).to_text() == "0011"
-    assert len(ap_subsequence(f, Progression(9, 4, 0))) == 0
-
-
-def test_ap_subsequence_bounds():
-    f = paperfolding_prefix(ORDINARY, 16)
-    with pytest.raises(ValueError, match="position 18"):
-        ap_subsequence(f, Progression(2, 8, 3))
-    with pytest.raises(ValueError, match="position 20"):
-        ap_subsequence(f, Progression(20, 3, 2))
-
-
-@given(
-    st.lists(st.integers(0, 1), min_size=1, max_size=40),
-    st.integers(0, 39),
-    st.integers(1, 8),
-    st.integers(0, 12),
-)
-def test_ap_subsequence_matches_slice(sym, start, diff, count):
-    word = Word(bytes(sym), 2)
-    last = start + (count - 1) * diff
-    if count and (start >= len(sym) or last >= len(sym)):
-        with pytest.raises(ValueError):
-            ap_subsequence(word, Progression(start, diff, count))
-    else:
-        got = ap_subsequence(word, Progression(start, diff, count))
-        assert list(got) == ap_slice(sym, start, diff, count)
-
-
 def test_differences_candidates():
     assert list(Differences.odd().candidates(10)) == [1, 3, 5, 7, 9]
     assert list(Differences.all().candidates(5)) == [1, 2, 3, 4]
@@ -201,11 +164,12 @@ def test_appending_either_letter_forces_overlap():
 def test_report_witness_is_consistent():
     rep = find_repetition(w("0101100110") + w("0"), 2, strict=True,
                           differences=Differences.odd())
-    trace = ap_subsequence(w("01011001100"), rep.progression)
+    trace = w("01011001100").symbols[rep.progression.start :: rep.progression.difference]
+    assert len(trace) == rep.progression.count
     run = int(rep.exponent * rep.period)
-    witness = Word(trace.symbols[rep.offset : rep.offset + run], 2)
+    witness = Word(trace[rep.offset : rep.offset + run], 2)
     assert smallest_period(witness) == rep.period
-    assert word_exponent(witness) == rep.exponent
+    assert exponent_of(witness.symbols) == rep.exponent
 
 
 def test_threshold_validation():
@@ -449,9 +413,9 @@ def test_spaced_repeat_matches_naive(sym, m):
 
 
 def test_power_of_period_is_literal():
-    assert has_square_of_period(w("0000"), 2)
-    assert has_square_of_period(w("0101"), 2)
-    assert not has_square_of_period(w("0101"), 1)
+    assert has_power_of_period(w("0000"), 2, 2)
+    assert has_power_of_period(w("0101"), 2, 2)
+    assert not has_power_of_period(w("0101"), 1, 2)
     assert has_power_of_period(w("000"), 1, 3)
     assert not has_power_of_period(w("00100"), 2, 2)
     assert not has_power_of_period(w("010"), 2, 2)  # too short for any square of period 2
@@ -490,10 +454,17 @@ def test_paperfolding_census_contains_every_fold():
 
 
 def test_paperfolding_census_validation():
-    with pytest.raises(ValueError):
-        paperfolding_subwords(8, 2)  # 3 bits determine only 7 letters
-    with pytest.raises(ValueError):
-        paperfolding_subwords(4, 3, prefix_len=100)
+    # 3 bits determine only 7 letters
+    with pytest.raises(ValueError, match=r"depth 2 .* n = 8"):
+        paperfolding_subwords(8, 2)
+    for n in (0, -2):
+        with pytest.raises(ValueError, match=rf"block length n must be at least 1, not {n}"):
+            paperfolding_subwords(n, 3)
+        with pytest.raises(ValueError, match=rf"block length n must be at least 1, not {n}"):
+            saturated_paperfolding_subwords(n)
+    # n = 5000 needs prefixes of 10,000 letters, so depth 13
+    with pytest.raises(ValueError, match=r"n = 5000 needs census depth 13, beyond max_depth = 12"):
+        saturated_paperfolding_subwords(5000)
 
 
 def test_saturated_census_sizes():
