@@ -6,6 +6,9 @@ entering a position asks a rule which symbols would close a repetition
 there. Both rules read the answer off witness chains, the agreements
 already placed that a repetition ending at the new position needs: along
 the class of each difference for words, along each backward ray for grids.
+The word rule reads the chains that need no agreement as one slice of the
+prefix per period, across every class at once, from a plan it keeps per
+word length, and with min_period 1 it stops once every symbol is banned.
 Node counts are symbols tried and are deterministic for a given problem.
 """
 
@@ -17,7 +20,7 @@ from itertools import permutations
 from typing import Callable
 
 from . import _backend
-from ._backend import _min_run
+from ._backend import _min_run, _top_period
 from .repetition import Differences, _checked_threshold, find_repetition
 from .words import MAX_ALPHABET, Word
 
@@ -133,14 +136,22 @@ def _word_rule(problem: AvoidanceProblem) -> Callable[[bytes | bytearray, int], 
     (n - k*j, n - k*j - p*j), k = 1..r-1, already agree among the placed
     symbols (a witness chain, which needs p <= _top_period(n//j + 1)), and
     the new symbol equals the one at n - p*j. The rule bans those symbols:
-    exactly the closing ones, with min_period 1. With min_period > 1, or
-    with r = 0 (threshold 1, not strict), they are only candidates,
-    confirmed as the grid rule's are. The answer depends on the prefix
-    alone, so the rule can be asked about any prefix, in or out of a walk.
+    exactly the closing ones, with min_period 1, and then it stops as soon
+    as every symbol below limit is banned. With min_period > 1, or with
+    r = 0 (threshold 1, not strict), they are only candidates, confirmed as
+    the grid rule's are, so every chain is read. The answer depends on the
+    prefix alone, so the rule can be asked about any prefix, in or out of
+    a walk.
 
-    On each class, a chain with r = 1 holds with nothing to check. Any
-    other holds only if its pair nearest n agrees, so rfind on the class
-    finds the periods worth a look, and two slices compare the rest.
+    A chain with r = 1 holds with nothing to check and needs only p*j <= n.
+    The differences form a range, so for each such period p the bans of
+    every class are one strided slice of the prefix. Any other chain holds
+    only if its pair nearest n agrees, so on each class that can hold one,
+    rfind finds the periods worth a look, and two slices compare the rest.
+    The slices and the range of classes that can hold such a chain depend
+    on n alone, so they are planned once per length; where rfind starts
+    depends on the class length alone. The plan grows by O(1) entries per
+    length, never one per class.
     """
     t_num, t_den = problem.threshold.numerator, problem.threshold.denominator
     strict, min_period = problem.strict, problem.min_period
@@ -148,30 +159,59 @@ def _word_rule(problem: AvoidanceProblem) -> Callable[[bytes | bytearray, int], 
     r0 = _min_run(min_period, t_num, t_den, strict)
     exact = min_period == 1 and r0 > 0
     r1s = [0]  # r - 1 for each period p >= 1
-    tight = 1 if strict else 0
+    p1 = min_period  # the first period with r >= 2, once r1s reaches it
+    ones_at: list[tuple[slice, ...]] = []  # per length n: one slice per period with r = 1
+    chains_at: list[range] = []  # per length n: the differences whose class has r >= 2 chains
+    los: list[int] = []  # per class length m, once p1 is known: where rfind starts
+    nothing = range(0)
+
+    def plan(n: int) -> None:
+        # plans every length up to n, in order
+        nonlocal p1
+        while len(chains_at) <= n:
+            d = len(chains_at)
+            while len(r1s) <= d + 1:  # every period up to _top_period(d + 1) <= d + 1
+                r1s.append(_min_run(len(r1s), t_num, t_den, strict) - 1)
+            while p1 < len(r1s) and r1s[p1] < 1:
+                p1 += 1
+            diffs = candidates(d + 1)
+            ones, chains = [], nothing
+            if diffs:
+                j0, step = diffs.start, diffs.step
+                for p in range(min_period, min(p1, d // j0 + 1)):  # r = 1 and p*j0 <= d
+                    jmax = min(diffs[-1], d // p)
+                    jmax -= (jmax - j0) % step
+                    ones.append(slice(d - p * jmax, d - p * j0 + 1, p * step))
+                if p1 < len(r1s):  # a class of m symbols holds a chain of r >= 2
+                    mmin = p1 + r1s[p1]  # when m >= mmin, that is j <= d // mmin
+                    chains = range(j0, min(diffs.stop, d // mmin + 1), step)
+                    while len(los) <= d // j0:
+                        m = len(los)
+                        los.append(m - 1 - _top_period(m + 1, t_num, t_den, strict))
+            ones_at.append(tuple(ones))
+            chains_at.append(chains)
 
     def forbidden(prefix: bytes | bytearray, limit: int) -> set[int]:
         n = len(prefix)
-        diffs = candidates(n + 1)
-        while len(r1s) <= n + 1:  # every period up to _top_period(n + 1) <= n + 1
-            r1s.append(_min_run(len(r1s), t_num, t_den, strict) - 1)
+        if r0 == 0:  # every symbol makes a factor of exponent 1
+            diffs = candidates(n + 1)
+            if diffs and n // diffs.start + 1 >= min_period:
+                return _closing_symbols(set(range(limit)), [prefix[n % j :: j] for j in diffs],
+                                        t_num, t_den, strict, min_period)
+            return set()
+        if n >= len(chains_at):
+            plan(n)
         ban = set()
-        for j in diffs:
+        for s in ones_at[n]:
+            ban.update(prefix[s])
+        for j in chains_at[n]:
+            if exact and len(ban) >= limit and ban.issuperset(range(limit)):
+                return set(range(limit))  # nothing left to ban
             m = n // j  # placed symbols on the class; the new one is its (m+1)-th
-            # _top_period(m + 1), inlined: this runs once per difference per node
-            top = ((m + 1) * t_den - tight) // t_num
-            if top < min_period:
-                break  # m only falls as j grows
-            if r0 == 0:  # every symbol makes a factor of exponent 1
-                ban.update(range(limit))
-                break
             head = prefix[n % j :: j]
-            p = min_period
-            while p <= top and not r1s[p]:  # r = 1
-                ban.add(head[m - p])
-                p += 1
-            c, lo = head[-1], m - 1 - top
-            i = head.rfind(c, lo, m - p)
+            lo = los[m]
+            c = head[-1]
+            i = head.rfind(c, lo, m - p1)
             while i >= 0:  # period m - 1 - i has its pair nearest n agreeing
                 r1 = r1s[m - 1 - i]
                 if head[m - r1 :] == head[i + 1 - r1 : i + 1]:
@@ -181,7 +221,7 @@ def _word_rule(problem: AvoidanceProblem) -> Callable[[bytes | bytearray, int], 
             ban = {sym for sym in ban if sym < limit}
         if exact or not ban:
             return ban
-        return _closing_symbols(ban, [prefix[n % j :: j] for j in diffs],
+        return _closing_symbols(ban, [prefix[n % j :: j] for j in candidates(n + 1)],
                                 t_num, t_den, strict, min_period)
 
     return forbidden

@@ -188,8 +188,11 @@ def test_word_rule_matches_full_recheck():
     # symbols; it must ban exactly the symbols after which some class
     # through the new position is unclean
     rng = random.Random(31337)
-    thresholds = (Fraction(1), Fraction(3, 2), Fraction(7, 4), Fraction(2), Fraction(5, 2),
-                  Fraction(3))
+    # at 5/4 (and 5/4+) a chain needs no agreement up to period 4 (3), so each
+    # length has several slices across the classes, rounded onto the steps of
+    # odd(5), all(3) and exactly(3); at threshold 1 strict every period has one
+    thresholds = (Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(7, 4), Fraction(2),
+                  Fraction(5, 2), Fraction(3))
     selectors = (Differences.odd(), Differences.all(), Differences.odd(5), Differences.all(3),
                  Differences.exactly(3))
     longest = 0
@@ -214,12 +217,30 @@ def test_word_rule_matches_full_recheck():
             word += bytes((rng.choice(clean),))
         assert find_repetition(Word(word, k), t, strict=strict, min_period=min_period,
                                differences=diffs) is None
+        # a new rule asked first about the whole word plans every length at
+        # once, as _validate_maximal does, and answers as the grown one does
+        fresh = _word_rule(prob)
+        assert fresh(word, k) == rule(word, k), (prob, word)
         # asked about a shorter prefix after a long one, the rule answers as a
         # new rule does
         cut = word[: rng.randrange(len(word) + 1)]
-        assert rule(cut, k) == _word_rule(prob)(cut, k), (prob, cut)
+        assert rule(cut, k) == fresh(cut, k) == _word_rule(prob)(cut, k), (prob, cut)
         longest = max(longest, len(word))
     assert longest == 120
+
+
+def test_word_rule_state_stays_linear_in_depth():
+    # this confirmation reaches depth 167; the rule keeps O(1) entries per
+    # word length and per class length; a tuple per (length, difference)
+    # pair instead measured about 380 KB here
+    tracemalloc.start()
+    try:
+        verdict = confirm_unavoidable(3, 2, Differences.odd(), strict=True, node_budget=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == UnavoidabilityVerdict("budget_exhausted", None, 10_000)
+    assert peak < 160 * 1024
 
 
 def test_word_rule_forbids_both_letters_after_claimed_cube_block():
