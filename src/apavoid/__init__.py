@@ -19,21 +19,22 @@ from .lattice import (
     product_grid,
     verify_grid,
 )
+from .lemmas import (
+    check_parity_separation,
+    find_spaced_repeat,
+    has_power_of_period,
+    lex_least_check,
+    paperfolding_subwords,
+    square_periods,
+    subword_set,
+)
 from .repetition import (
     Differences,
     Progression,
     RepetitionReport,
-    check_parity_separation,
     find_repetition,
-    find_spaced_repeat,
-    has_power_of_period,
-    lex_least_check,
     max_exponent,
-    paperfolding_subwords,
-    saturated_paperfolding_subwords,
     smallest_period,
-    square_periods,
-    subword_set,
 )
 from .search import (
     AvoidanceProblem,
@@ -77,10 +78,10 @@ __all__ = [
     "binary_large_squarefree", "present",
     # repetition
     "Progression", "Differences", "RepetitionReport", "smallest_period",
-    "max_exponent", "find_repetition", "find_spaced_repeat",
-    "has_power_of_period", "square_periods", "subword_set",
-    "paperfolding_subwords",
-    "saturated_paperfolding_subwords", "check_parity_separation",
+    "max_exponent", "find_repetition",
+    # lemmas
+    "find_spaced_repeat", "has_power_of_period", "square_periods",
+    "subword_set", "paperfolding_subwords", "check_parity_separation",
     "lex_least_check",
     # search
     "AvoidanceProblem", "SearchResult", "UnavoidabilityVerdict",

@@ -8,14 +8,13 @@ period of the witness, and exponents are exact rationals.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import _backend
 from ._backend import _min_run, _top_period
-from .words import FoldingSequence, Word, paperfolding_prefix
+from .words import Word
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,134 +270,3 @@ def find_repetition(
                     Progression(start, j, len(ap)), o + offset, period, Fraction(run, period)
                 )
     return None
-
-
-def find_spaced_repeat(w: Word, m: int) -> int | None:
-    """First i with w[i..i+m) == w[i+m+1..i+2m+1), a repeat around one spacer.
-
-    The two shifted copies are xored as big integers; a block match is a run
-    of m zero bytes, located with bytes.find at C speed.
-    """
-    if m < 1:
-        raise ValueError("block length must be at least 1")
-    s = w.symbols
-    n = len(s)
-    if n < 2 * m + 1:
-        return None
-    pos = _mismatches(s, m + 1).find(bytes(m))
-    return pos if pos >= 0 else None
-
-
-def has_power_of_period(w: Word, period: int, k: int) -> bool:
-    """Does w contain x^k for some block x of exactly this length?
-
-    The period here is literal, not reduced: 0101 counts as a square of
-    period 2 even though its smallest period is also 2, and 0000 counts as
-    a square of period 2 with smallest period 1.
-    """
-    if period < 1:
-        raise ValueError("period must be at least 1")
-    if k < 2:
-        raise ValueError("power must be at least 2")
-    s = w.symbols
-    n = len(s)
-    if n < k * period:
-        return False
-    return _mismatches(s, period).find(bytes((k - 1) * period)) >= 0
-
-
-def square_periods(w: Word, periods: Iterable[int]) -> set[int]:
-    """The subset of the given periods that admit a square in w."""
-    return {p for p in periods if has_power_of_period(w, p, 2)}
-
-
-def subword_set(w: Word, n: int) -> set[Word]:
-    """All distinct length-n contiguous blocks of w."""
-    if not 1 <= n <= len(w):
-        raise ValueError(f"block length {n} out of range for a word of length {len(w)}")
-    s = w.symbols
-    blocks = {s[i : i + n] for i in range(len(s) - n + 1)}
-    return {Word(b, w.alphabet_size) for b in blocks}
-
-
-def paperfolding_subwords(n: int, depth: int) -> set[Word]:
-    """Every length-n block seen in any depth-limited paperfolding prefix.
-
-    All 2**(depth+1) instruction streams of depth+1 bits are expanded to
-    the longest prefixes those bits determine, 2**(depth+1) - 1 letters,
-    and their length-n blocks are unioned.
-    """
-    if n < 1:
-        raise ValueError(f"block length n must be at least 1, not {n}")
-    bit_count = depth + 1
-    prefix_len = (1 << bit_count) - 1 if depth >= 0 else 0
-    if prefix_len < 2 * n:
-        raise ValueError(f"depth {depth} gives prefixes of {prefix_len} letters, "
-                         f"fewer than 2n = {2 * n} for block length n = {n}")
-    blocks: set[bytes] = set()
-    for bits in itertools.product((0, 1), repeat=bit_count):
-        s = paperfolding_prefix(FoldingSequence(bits), prefix_len).symbols
-        blocks.update(s[i : i + n] for i in range(prefix_len - n + 1))
-    return {Word(b, 2) for b in blocks}
-
-
-def saturated_paperfolding_subwords(n: int, *, max_depth: int = 12) -> tuple[set[Word], bool]:
-    """Grow the census depth until the block set stops changing.
-
-    Saturation means two consecutive depth increments left the set intact.
-    Returns the final set and whether saturation came by max_depth; an n
-    whose first census depth is beyond max_depth is an error. Empirical by
-    design; there is no finite completeness proof.
-    """
-    if n < 1:
-        raise ValueError(f"block length n must be at least 1, not {n}")
-    start_depth = 1
-    while (1 << (start_depth + 1)) - 1 < 2 * n:
-        start_depth += 1
-    if start_depth > max_depth:
-        raise ValueError(f"block length n = {n} needs census depth {start_depth}, "
-                         f"beyond max_depth = {max_depth}")
-    stable = 0
-    prev: set[Word] | None = None
-    current: set[Word] = set()
-    for depth in range(start_depth, max_depth + 1):
-        current = paperfolding_subwords(n, depth)
-        if prev is not None and current == prev:
-            stable += 1
-            if stable == 2:
-                return current, True
-        else:
-            stable = 0
-        prev = current
-    return current, False
-
-
-def check_parity_separation(w: Word, n: int) -> bool:
-    """True iff no length-n block of w occurs at both an even and an odd shift.
-
-    Only meaningful from n = 7 upward; shorter blocks of paperfolding words
-    do recur across parities, so smaller n is rejected.
-    """
-    if n < 7:
-        raise ValueError("parity separation requires block length at least 7")
-    s = w.symbols
-    seen: dict[bytes, int] = {}
-    for i in range(len(s) - n + 1):
-        block = s[i : i + n]
-        seen[block] = seen.get(block, 0) | (1 << (i & 1))
-    return all(mask != 3 for mask in seen.values())
-
-
-def lex_least_check(folds: FoldingSequence, n: int, shifts: int) -> bool:
-    """No length-n factor of the folds word is below 0 + ordinary prefix.
-
-    Checks the factors starting at shifts 0..shifts-1, a necessary (finite)
-    condition for the candidate being the least word over all shifts.
-    """
-    if n < 1:
-        raise ValueError("factor length must be at least 1")
-    if shifts < 1:
-        raise ValueError("need at least one shift")
-    target = b"\x00" + paperfolding_prefix(FoldingSequence.ordinary(), n - 1).symbols
-    s = paperfolding_prefix(folds, shifts + n - 1).symbols
-    return all(s[i : i + n] >= target for i in range(shifts))

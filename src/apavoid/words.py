@@ -97,6 +97,7 @@ class FoldingSequence:
     infinite_zeros: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "bits", tuple(self.bits))
         for b in self.bits:
             if b not in (0, 1):
                 raise ValueError(f"folding instructions must be 0 or 1, not {b!r}")
@@ -226,6 +227,8 @@ def iterate_morphism(m: Morphism, seed: Word, min_len: int) -> Word:
 
 
 def relabel(w: Word, mapping: Mapping[int, int]) -> Word:
+    if not mapping:
+        raise ValueError("relabeling {} maps no symbol")
     try:
         symbols = bytes(mapping[s] for s in w.symbols)
     except KeyError as exc:
@@ -246,6 +249,8 @@ BLOCK_CODING = Morphism({0: (0, 1, 1, 0), 1: (0, 1, 0, 1), 2: (0, 0, 0, 1), 3: (
 
 def carpi_word(n: int) -> Word:
     """Length-``n`` prefix of the Carpi fixed point, 0-based symbols."""
+    if n < 0:
+        raise ValueError(f"length must be nonnegative, not {n}")
     seed = Word(bytes([5]), CARPI_MORPHISM.alphabet_size)
     return relabel(iterate_morphism(CARPI_MORPHISM, seed, n), _CARPI_TO_INTERNAL)
 
@@ -265,12 +270,16 @@ def four_letter_squarefree(folds: FoldingSequence, n: int) -> Word:
 
 def ternary_overlapfree(folds: FoldingSequence, n: int) -> Word:
     """Letterwise coding of the four-letter word into three symbols."""
+    if n < 0:
+        raise ValueError(f"length must be nonnegative, not {n}")
     v = four_letter_squarefree(folds, (n + 1) // 2)
     return apply_morphism(TERNARY_CODING, v).prefix(n)
 
 
 def binary_large_squarefree(folds: FoldingSequence, n: int) -> Word:
     """Block coding of the four-letter word into four-bit chunks."""
+    if n < 0:
+        raise ValueError(f"length must be nonnegative, not {n}")
     v = four_letter_squarefree(folds, (n + 3) // 4)
     return apply_morphism(BLOCK_CODING, v).prefix(n)
 
@@ -287,6 +296,8 @@ PRESENTATIONS = {
 
 def present(w: Word, name: str) -> str:
     """Render ``w`` in the customary spelling registered under ``name``."""
+    if name not in PRESENTATIONS:
+        raise ValueError(f"no spelling named {name!r}")
     table = PRESENTATIONS[name]
     if w.symbols and max(w.symbols) >= len(table):
         raise ValueError(f"word does not fit the {name} alphabet")

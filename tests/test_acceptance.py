@@ -16,19 +16,16 @@ from fractions import Fraction
 import pytest
 
 from apavoid.lattice import export_ppm, grid_search, product_grid, verify_grid
-from apavoid.repetition import (
-    Differences,
+from apavoid.lemmas import (
     check_parity_separation,
-    find_repetition,
     find_spaced_repeat,
     has_power_of_period,
     lex_least_check,
-    max_exponent,
-    saturated_paperfolding_subwords,
-    smallest_period,
+    paperfolding_subwords,
     square_periods,
     subword_set,
 )
+from apavoid.repetition import Differences, find_repetition, max_exponent, smallest_period
 from apavoid.search import AvoidanceProblem, backtrack_longest, confirm_unavoidable
 from apavoid.words import (
     FoldingSequence,
@@ -198,9 +195,9 @@ def test_criterion_09_structure_property_suites():
 
 
 def test_criterion_10_subword_census_covers_odd_aps():
-    with criterion(10, "saturated block census covers odd-AP windows", 60):
-        census, saturated = saturated_paperfolding_subwords(10)
-        assert saturated and len(census) == 80
+    with criterion(10, "block census covers odd-AP windows", 60):
+        census = paperfolding_subwords(10)
+        assert len(census) == 80
         s = paperfolding_prefix(ORDINARY, 512)
         seen = set()
         for j in range(1, 512, 2):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,21 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apavoid.lemmas import (
+    check_parity_separation,
+    find_spaced_repeat,
+    has_power_of_period,
+    lex_least_check,
+    paperfolding_subwords,
+    square_periods,
+    subword_set,
+)
 from apavoid.repetition import (
     Differences,
     Progression,
     RepetitionReport,
-    check_parity_separation,
     find_repetition,
-    find_spaced_repeat,
-    has_power_of_period,
-    lex_least_check,
     max_exponent,
-    paperfolding_subwords,
-    saturated_paperfolding_subwords,
     smallest_period,
-    square_periods,
-    subword_set,
 )
 from apavoid import _backend
 from apavoid.words import (
@@ -446,7 +448,7 @@ def test_subword_set_counts():
 
 def test_paperfolding_census_contains_every_fold():
     rng = random.Random(7)
-    census = paperfolding_subwords(4, 3)
+    census = paperfolding_subwords(4)
     for _ in range(10):
         bits = tuple(rng.randrange(2) for _ in range(4))
         word = paperfolding_prefix(FoldingSequence(bits), 15)
@@ -454,30 +456,59 @@ def test_paperfolding_census_contains_every_fold():
 
 
 def test_paperfolding_census_validation():
-    # 3 bits determine only 7 letters
-    with pytest.raises(ValueError, match=r"depth 2 .* n = 8"):
-        paperfolding_subwords(8, 2)
     for n in (0, -2):
         with pytest.raises(ValueError, match=rf"block length n must be at least 1, not {n}"):
-            paperfolding_subwords(n, 3)
-        with pytest.raises(ValueError, match=rf"block length n must be at least 1, not {n}"):
-            saturated_paperfolding_subwords(n)
-    # n = 5000 needs prefixes of 10,000 letters, so depth 13
-    with pytest.raises(ValueError, match=r"n = 5000 needs census depth 13, beyond max_depth = 12"):
-        saturated_paperfolding_subwords(5000)
+            paperfolding_subwords(n)
 
 
 def test_saturated_census_sizes():
-    blocks4, done4 = saturated_paperfolding_subwords(4)
-    blocks5, done5 = saturated_paperfolding_subwords(5)
-    assert done4 and len(blocks4) == 12
-    assert done5 and len(blocks5) == 20
-    assert blocks4 == paperfolding_subwords(4, 6)
+    assert [len(paperfolding_subwords(n)) for n in (1, 4, 5, 10)] == [2, 12, 20, 80]
 
 
-def test_saturation_can_be_cut_short():
-    blocks, done = saturated_paperfolding_subwords(4, max_depth=3)
-    assert not done and blocks == paperfolding_subwords(4, 3)
+def _census(build, n, depth):
+    """Length-n blocks of the first 2**(depth+1) - 1 letters of every depth + 1 fold stream."""
+    size = (2 << depth) - 1
+    blocks = set()
+    for bits in itertools.product((0, 1), repeat=depth + 1):
+        s = build(FoldingSequence(bits), size).symbols
+        blocks.update(s[i : i + n] for i in range(size - n + 1))
+    return blocks
+
+
+def _depth(n):
+    return (n - 1).bit_length()  # ceil(log2 n)
+
+
+def test_census_depth_is_exact():
+    # Two folds deeper find no new block, including at n = 8, 16, 32 and 64,
+    # where the census prefix has 2n - 1 letters. Each reference starts from
+    # the largest n of its depth and drops one letter at a time: every window
+    # of a prefix longer than n lies in a window one letter longer.
+    for top in (1, 2, 4, 8, 16, 32, 64):
+        blocks = _census(paperfolding_prefix, top, _depth(top) + 2)
+        for n in range(top, top // 2, -1):
+            if n <= 40 or n == 64:
+                assert {b.symbols for b in paperfolding_subwords(n)} == blocks, n
+            blocks = {b[:-1] for b in blocks} | {b[1:] for b in blocks}
+
+
+def test_census_holds_windows_far_out():
+    # windows anywhere under 18-bit fold streams lie in the census; the
+    # four-letter word also needs the shift to keep the position mod 4
+    rng = random.Random(41)
+    sizes = (1, 2, 3, 4, 7, 8, 9, 16, 17, 31, 32, 33, 50)
+    for build, census_of in (
+        (paperfolding_prefix, lambda n: {b.symbols for b in paperfolding_subwords(n)}),
+        (four_letter_squarefree, lambda n: _census(four_letter_squarefree, n, max(2, _depth(n)))),
+    ):
+        words = [build(FoldingSequence(tuple(rng.randrange(2) for _ in range(18))), 1 << 17)
+                 for _ in range(3)]
+        for n in sizes:
+            census = census_of(n)
+            for _ in range(10):
+                s = rng.choice(words).symbols
+                i = rng.randrange(len(s) - n + 1)
+                assert s[i : i + n] in census, (build.__name__, n, i)
 
 
 # ---------------------------------------------------------------- parity, order

@@ -104,6 +104,12 @@ def test_parse_forms():
         FoldingSequence.parse("012")
 
 
+def test_folding_bits_from_a_list_are_a_tuple():
+    folds = FoldingSequence([0, 1])
+    assert folds.bits == (0, 1)
+    assert folds == FoldingSequence((0, 1)) and hash(folds) == hash(FoldingSequence((0, 1)))
+
+
 def test_ordinary_supplies_any_length():
     assert len(paperfolding_prefix(ORDINARY, 5000)) == 5000
 
@@ -168,6 +174,11 @@ def test_negative_lengths_are_refused_by_name():
     (lambda: iterate_morphism(Morphism({0: (0, 0), 1: (0,)}, 2), Word(b"\0\1", 2), 5),
      r"iterates do not extend each other$"),
     (lambda: present(Word(b"\3", 4), "paperfolding"), r"fit the paperfolding alphabet$"),
+    (lambda: present(Word(b"", 2), "zzz"), r"no spelling named 'zzz'$"),
+    (lambda: relabel(Word(b"", 2), {}), r"relabeling \{\} maps no symbol$"),
+    (lambda: carpi_word(-1), r"length must be nonnegative, not -1$"),
+    (lambda: ternary_overlapfree(ORDINARY, -5), r"length must be nonnegative, not -5$"),
+    (lambda: binary_large_squarefree(ORDINARY, -7), r"length must be nonnegative, not -7$"),
     (lambda: max_exponent(Word(b"", 2)), r"the empty word has no exponent$"),
     (lambda: parse_diffs("0"), r"--diffs difference must be at least 1, not 0$"),
 ])
