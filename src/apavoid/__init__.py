@@ -58,7 +58,6 @@ from .words import (
     iterate_morphism,
     paperfolding_prefix,
     present,
-    perturbed_prefix,
     relabel,
     reverse_word,
     ternary_overlapfree,
@@ -73,7 +72,7 @@ __all__ = [
     "Word", "FoldingSequence", "InsufficientFoldingBits", "Morphism",
     "CARPI_MORPHISM", "apply_morphism", "iterate_morphism", "relabel",
     "complement", "reverse_word", "folding_bits_needed",
-    "paperfolding_prefix", "perturbed_prefix", "carpi_word",
+    "paperfolding_prefix", "carpi_word",
     "four_letter_squarefree", "ternary_overlapfree",
     "binary_large_squarefree", "present",
     # repetition

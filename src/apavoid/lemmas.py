@@ -16,7 +16,7 @@ def find_spaced_repeat(w: Word, m: int) -> int | None:
     of m zero bytes, located with bytes.find at C speed.
     """
     if m < 1:
-        raise ValueError("block length must be at least 1")
+        raise ValueError(f"block length must be at least 1, not {m}")
     s = w.symbols
     n = len(s)
     if n < 2 * m + 1:
@@ -33,9 +33,9 @@ def has_power_of_period(w: Word, period: int, k: int) -> bool:
     a square of period 2 with smallest period 1.
     """
     if period < 1:
-        raise ValueError("period must be at least 1")
+        raise ValueError(f"period must be at least 1, not {period}")
     if k < 2:
-        raise ValueError("power must be at least 2")
+        raise ValueError(f"power must be at least 2, not {k}")
     s = w.symbols
     n = len(s)
     if n < k * period:
@@ -95,7 +95,7 @@ def check_parity_separation(w: Word, n: int) -> bool:
     do recur across parities, so smaller n is rejected.
     """
     if n < 7:
-        raise ValueError("parity separation requires block length at least 7")
+        raise ValueError(f"parity separation requires block length at least 7, not {n}")
     s = w.symbols
     seen: dict[bytes, int] = {}
     for i in range(len(s) - n + 1):
@@ -111,9 +111,9 @@ def lex_least_check(folds: FoldingSequence, n: int, shifts: int) -> bool:
     condition for the candidate being the least word over all shifts.
     """
     if n < 1:
-        raise ValueError("factor length must be at least 1")
+        raise ValueError(f"factor length must be at least 1, not {n}")
     if shifts < 1:
-        raise ValueError("need at least one shift")
+        raise ValueError(f"need at least one shift, not {shifts}")
     target = b"\x00" + paperfolding_prefix(FoldingSequence.ordinary(), n - 1).symbols
     s = paperfolding_prefix(folds, shifts + n - 1).symbols
     return all(s[i : i + n] >= target for i in range(shifts))

@@ -14,6 +14,7 @@ from typing import Iterator, Mapping
 
 MAX_ALPHABET = 16
 _CHARS = "0123456789abcdef"
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 class InsufficientFoldingBits(ValueError):
@@ -121,13 +122,6 @@ class FoldingSequence:
                 f"need {count} folding instructions, have {len(self.bits)}"
             )
 
-    def bit(self, i: int) -> int:
-        if i < len(self.bits):
-            return self.bits[i]
-        if self.infinite_zeros:
-            return 0
-        raise InsufficientFoldingBits(f"no folding instruction at index {i}")
-
 
 def folding_bits_needed(n: int) -> int:
     """Instructions consumed by a length-``n`` paperfolding prefix."""
@@ -137,38 +131,21 @@ def folding_bits_needed(n: int) -> int:
 def paperfolding_prefix(folds: FoldingSequence, n: int) -> Word:
     """First ``n`` letters of the paperfolding word with the given instructions.
 
-    Position p is resolved by writing p + 1 = 2**e * (2q + 1); the letter is
-    the e-th instruction flipped when q is odd. With all-zero instructions
-    this starts 0010011000110110.
+    Built by unfolding: F(0) is the first instruction g_0 and
+    F(i+1) = F(i), g_(i+1), F(i) reversed and complemented, so F(i) has
+    2**(i+1) - 1 letters and ``folding_bits_needed(n)`` unfoldings cover
+    ``n``. Letter by letter, writing p + 1 = 2**e * (2q + 1), position p
+    reads g_e XOR (q mod 2). The tests hold this builder to both forms.
+    With all-zero instructions it starts 0010011000110110.
     """
     if n < 0:
         raise ValueError(f"length must be nonnegative, not {n}")
-    folds.require(folding_bits_needed(n))
-    bits = folds.bits
-    known = len(bits)  # past this, require() guarantees we are all-zero
-    out = bytearray(n)
-    for p in range(n):
-        tail = p + 1
-        e = (tail & -tail).bit_length() - 1
-        out[p] = (bits[e] if e < known else 0) ^ ((tail >> (e + 1)) & 1)
-    return Word(bytes(out), 2)
-
-
-def perturbed_prefix(folds: FoldingSequence, k: int) -> Word:
-    """Unfold k times: F(0) is the first instruction and
-    F(i+1) = F(i), next instruction, reversed complement of F(i).
-
-    The result has length 2**(k+1) - 1 and equals the paperfolding prefix
-    built from the same instructions.
-    """
-    if k < 0:
-        raise ValueError(f"fold count must be nonnegative, not {k}")
-    folds.require(k + 1)
-    cur = Word(bytes([folds.bit(0)]), 2)
-    for i in range(1, k + 1):
-        middle = Word(bytes([folds.bit(i)]), 2)
-        cur = cur + middle + reverse_word(complement(cur))
-    return cur
+    k = folding_bits_needed(n)
+    folds.require(k)
+    s = b""
+    for bit in (folds.bits + (0,) * k)[:k]:  # only an ordinary stream can run out here
+        s = s + bytes((bit,)) + s[::-1].translate(_FLIP)
+    return Word(s[:n], 2)
 
 
 @dataclass
@@ -229,6 +206,9 @@ def iterate_morphism(m: Morphism, seed: Word, min_len: int) -> Word:
 def relabel(w: Word, mapping: Mapping[int, int]) -> Word:
     if not mapping:
         raise ValueError("relabeling {} maps no symbol")
+    for s, t in mapping.items():
+        if not 0 <= t < MAX_ALPHABET:
+            raise ValueError(f"relabeling sends {s} to {t}, outside 0..{MAX_ALPHABET - 1}")
     try:
         symbols = bytes(mapping[s] for s in w.symbols)
     except KeyError as exc:

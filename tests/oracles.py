@@ -1,8 +1,9 @@
 """Slow definitional reference implementations used to pin expected values.
 
 Everything here works on plain Python sequences and deliberately avoids the
-library's algorithms: paperfolding via the recursive even/odd construction,
-periods by trial division, repetition scans by string slicing.
+library's algorithms: paperfolding via the recursive even/odd construction
+and letter by letter from each position, periods by trial division,
+repetition scans by string slicing.
 """
 
 from fractions import Fraction
@@ -23,6 +24,23 @@ def pf_recursive(bits, n):
     out = []
     for i in range(n):
         out.append(evens[i // 2] if i % 2 == 0 else odds[i // 2])
+    return out
+
+
+def pf_positional(bits, n):
+    """Paperfolding prefix letter by letter.
+
+    Writing p + 1 = 2**e * (2q + 1), position p reads bits[e] flipped when
+    q is odd.
+    """
+    out = []
+    for p in range(n):
+        q, e = p + 1, 0
+        while q % 2 == 0:
+            q, e = q // 2, e + 1
+        if e >= len(bits):
+            raise ValueError("out of folding instructions")
+        out.append(bits[e] ^ (q // 2 % 2))
     return out
 
 

@@ -32,12 +32,14 @@ from apavoid.words import (
     Word,
     binary_large_squarefree,
     carpi_word,
+    complement,
     four_letter_squarefree,
     paperfolding_prefix,
-    perturbed_prefix,
     present,
+    reverse_word,
     ternary_overlapfree,
 )
+from oracles import pf_positional
 
 ORDINARY = FoldingSequence.ordinary()
 SEED = 20260814
@@ -66,21 +68,25 @@ def test_criterion_01_golden_prefixes():
     with criterion(1, "golden prefixes of the three base words", 1):
         assert present(paperfolding_prefix(ORDINARY, 16), "paperfolding") == \
             "0010011000110110"
-        assert perturbed_prefix(ORDINARY, 2).to_text() == "0010011"
+        assert paperfolding_prefix(ORDINARY, 7).to_text() == "0010011"
         assert present(four_letter_squarefree(ORDINARY, 16), "v") == "2131243121342431"
 
 
 def test_criterion_02_construction_agreement():
-    with criterion(2, "folding prefix matches perturbed symmetry, 50 random folds", 5):
+    with criterion(2, "prefix matches letter formula and unfolding, 50 random folds", 5):
         rng = random.Random(SEED)
         for _ in range(50):
             k = rng.randrange(1, 11)
             folds = random_folds(rng, k + 1)
             full = (1 << (k + 1)) - 1  # 2047 at most
-            via_perturb = perturbed_prefix(folds, k)
-            assert paperfolding_prefix(folds, full) == via_perturb
+            expected = pf_positional(list(folds.bits), full)
+            whole = paperfolding_prefix(folds, full)
+            assert list(whole.symbols) == expected
+            half = whole.prefix(full // 2)  # F(k-1), then b_k, then F(k-1) turned over
+            assert whole[full // 2] == folds.bits[k]
+            assert whole.symbols[full // 2 + 1:] == reverse_word(complement(half)).symbols
             n = rng.randrange(0, full + 1)
-            assert paperfolding_prefix(folds, n) == via_perturb.prefix(n)
+            assert list(paperfolding_prefix(folds, n).symbols) == expected[:n]
 
 
 def test_criterion_03_carpi_identity():

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from apavoid.cli import parse_diffs
 from apavoid.lattice import Grid, GridSearchOutcome, LineSpec
+from apavoid.lemmas import (check_parity_separation, find_spaced_repeat, has_power_of_period,
+                            lex_least_check)
 from apavoid.repetition import (Differences, Progression, RepetitionReport, find_repetition,
                                 max_exponent)
 from apavoid.search import AvoidanceProblem, SearchResult, UnavoidabilityVerdict
@@ -25,12 +27,11 @@ from apavoid.words import (
     iterate_morphism,
     paperfolding_prefix,
     present,
-    perturbed_prefix,
     relabel,
     reverse_word,
     ternary_overlapfree,
 )
-from oracles import pf_recursive
+from oracles import pf_positional, pf_recursive
 
 ORDINARY = FoldingSequence.ordinary()
 
@@ -42,8 +43,8 @@ def test_ordinary_prefix_16():
 
 
 def test_perturbed_f2():
-    assert perturbed_prefix(ORDINARY, 2).to_text() == "0010011"
-    assert perturbed_prefix(FoldingSequence.parse("111"), 2).to_text() == "1101100"
+    assert paperfolding_prefix(ORDINARY, 7).to_text() == "0010011"
+    assert paperfolding_prefix(FoldingSequence.parse("111"), 7).to_text() == "1101100"
 
 
 def test_v_prefix_16():
@@ -72,11 +73,18 @@ def test_prefix_matches_recursive_construction():
 
 def test_prefix_agrees_with_perturbed():
     rng = random.Random(99)
+    lengths = random.Random(98)
     for k in range(0, 9):
         n = 2 ** (k + 1) - 1
         bits = tuple(rng.randrange(2) for _ in range(k + 1))
         folds = FoldingSequence(bits)
-        assert paperfolding_prefix(folds, n) == perturbed_prefix(folds, k)
+        expected = pf_positional(list(bits), n)
+        assert list(paperfolding_prefix(folds, n).symbols) == expected
+        m = lengths.randrange(0, n)
+        assert list(paperfolding_prefix(folds, m).symbols) == expected[:m]
+    ordinary = pf_positional([0] * 13, 4096)
+    for n in range(4097):
+        assert paperfolding_prefix(ORDINARY, n).symbols == bytes(ordinary[:n])
 
 
 def test_prefix_consistency_across_lengths():
@@ -95,6 +103,14 @@ def test_insufficient_bits_raise():
     with pytest.raises(InsufficientFoldingBits):
         paperfolding_prefix(folds, 4)
     assert len(paperfolding_prefix(folds, 3)) == 3
+    for n in (1, 2, 3, 4, 7, 8, 2047, 2048):
+        k = folding_bits_needed(n)
+        bits = [(i + 1) % 2 for i in range(k)]
+        got = paperfolding_prefix(FoldingSequence(bits), n)
+        assert list(got.symbols) == pf_positional(bits, n)
+        with pytest.raises(InsufficientFoldingBits,
+                           match=rf"^need {k} folding instructions, have {k - 1}$"):
+            paperfolding_prefix(FoldingSequence(bits[:-1]), n)
 
 
 def test_parse_forms():
@@ -164,8 +180,6 @@ def test_negative_lengths_are_refused_by_name():
     (lambda: Progression(0, 1, -2), r"count must be nonnegative, not -2$"),
     (lambda: FoldingSequence((0, 2)), r"must be 0 or 1, not 2$"),
     (lambda: FoldingSequence.parse("012"), r"0/1 string, not '012'$"),
-    (lambda: FoldingSequence((1,)).bit(3), r"no folding instruction at index 3$"),
-    (lambda: perturbed_prefix(ORDINARY, -1), r"fold count must be nonnegative, not -1$"),
     (lambda: Morphism({}, 2), r"a morphism needs at least one image$"),
     (lambda: Morphism({0: ()}, 2), r"empty image for symbol 0$"),
     (lambda: Morphism({0: (0, 2)}, 2), r"image of 0 leaves the alphabet$"),
@@ -176,6 +190,15 @@ def test_negative_lengths_are_refused_by_name():
     (lambda: present(Word(b"\3", 4), "paperfolding"), r"fit the paperfolding alphabet$"),
     (lambda: present(Word(b"", 2), "zzz"), r"no spelling named 'zzz'$"),
     (lambda: relabel(Word(b"", 2), {}), r"relabeling \{\} maps no symbol$"),
+    (lambda: relabel(Word(b"\0\1", 2), {0: -1, 1: 0}), r"sends 0 to -1, outside 0\.\.15$"),
+    (lambda: relabel(Word(b"\0\1", 2), {0: 300, 1: 0}), r"sends 0 to 300, outside 0\.\.15$"),
+    (lambda: relabel(Word(b"\0\1", 2), {0: 20, 1: 0}), r"sends 0 to 20, outside 0\.\.15$"),
+    (lambda: find_spaced_repeat(Word(b"\0", 2), 0), r"block length must be at least 1, not 0$"),
+    (lambda: has_power_of_period(Word(b"\0", 2), 0, 2), r"period must be at least 1, not 0$"),
+    (lambda: has_power_of_period(Word(b"\0", 2), 1, 1), r"power must be at least 2, not 1$"),
+    (lambda: check_parity_separation(Word(b"\0", 2), 3), r"block length at least 7, not 3$"),
+    (lambda: lex_least_check(ORDINARY, 3, 0), r"need at least one shift, not 0$"),
+    (lambda: lex_least_check(ORDINARY, 0, 3), r"factor length must be at least 1, not 0$"),
     (lambda: carpi_word(-1), r"length must be nonnegative, not -1$"),
     (lambda: ternary_overlapfree(ORDINARY, -5), r"length must be nonnegative, not -5$"),
     (lambda: binary_large_squarefree(ORDINARY, -7), r"length must be nonnegative, not -7$"),
