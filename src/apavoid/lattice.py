@@ -9,8 +9,8 @@ lets product grids inherit cleanness from odd-difference progressions of
 their factors.
 
 The lines of one direction are progressions of one step in the row-major
-cells, so ``verify_grid`` screens a direction with one xor-and-find pass
-per period, as ``find_repetition`` screens a difference, and
+cells, so ``verify_grid`` screens a direction on their bit planes, as
+``find_repetition`` screens a difference, and
 ``grid_search`` runs the word searches' engine on a rule read from per-cell
 witness chains rather than rebuilding rays.
 """
@@ -26,9 +26,9 @@ from typing import Callable, Iterator
 
 from ._backend import _min_run, _top_period
 from .repetition import (Differences, RepetitionReport, _checked_threshold,
-                         _difference_flagged, find_repetition)
+                         _difference_flagged, _planes, find_repetition)
 from .search import _backtrack, _closing_symbols
-from .words import MAX_ALPHABET, Word, _CHARS
+from .words import MAX_ALPHABET, Word, _CHARS, _check_alphabet_size
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,9 +49,7 @@ class Grid:
         if len(self.cells) != self.rows * self.cols:
             raise ValueError(f"{len(self.cells)} cells do not fill the declared "
                              f"{self.rows}x{self.cols} shape")
-        if not 1 <= self.alphabet_size <= MAX_ALPHABET:
-            raise ValueError(f"alphabet size must be in 1..{MAX_ALPHABET}, "
-                             f"not {self.alphabet_size}")
+        _check_alphabet_size(self.alphabet_size)
         if self.cells and max(self.cells) >= self.alphabet_size:
             raise ValueError(f"cell symbol {max(self.cells)} out of range for alphabet size "
                              f"{self.alphabet_size}")
@@ -199,11 +197,12 @@ def extract_line(g: Grid, spec: LineSpec) -> Word:
     return Word(memoryview(g.cells)[head::j or 1][:spec.count].tobytes(), g.alphabet_size)
 
 
-def _edge_cut(rows: int, cols: int, dc: int, p: int) -> bytes:
-    """Row-major marks of the cells (r, c) whose column c + p*dc is off the grid."""
+def _edge_cut(cols: int, repunit: int, dc: int, p: int) -> int:
+    """Bit r*cols + c, as in ``repetition``'s planes, for each cell (r, c) whose
+    column c + p*dc is off the grid: one row's bits times a repunit of rows."""
     k = min(cols, p * abs(dc))
-    row = bytes(cols - k) + b"\1" * k if dc > 0 else b"\1" * k + bytes(cols - k)
-    return row * rows
+    row = (1 << k) - 1
+    return (row << (cols - k) if dc > 0 else row) * repunit
 
 
 def verify_grid(
@@ -218,12 +217,13 @@ def verify_grid(
 
     The lines of direction (dr, dc) are progressions of step j = dr*cols + dc
     in the row-major cells, so each direction is screened as a whole by
-    ``repetition._difference_flagged``, bounded by its longest line. A pair
-    (i, i + p*j) whose column c + p*dc is off the grid wraps onto another
-    line; those columns, marked on every row, are cut from the screen. A
-    chain of pairs one stride apart stays on one line too: where the cell j
-    before an uncut pair wraps to another row, its own column c' has
-    c' + p*dc off the grid, so its pair is cut. A direction the screen
+    ``repetition._difference_flagged`` on the cells' bit planes, built once,
+    and bounded by its longest line. A pair (i, i + p*j) whose column
+    c + p*dc is off the grid wraps onto another line; those columns, marked
+    on every row, are cut from the screen. A chain of pairs one stride apart
+    stays on one line too: where the cell j before an uncut pair wraps to
+    another row, its own column c' has c' + p*dc off the grid, so its pair
+    is cut. A direction the screen
     passes is clean. A flagged one has its lines scanned in enumeration
     order at difference 1, so the first report is the one a line-by-line
     scan gives.
@@ -231,13 +231,15 @@ def verify_grid(
     t = _checked_threshold(threshold, min_period)
     rows, cols = g.rows, g.cols
     diff1 = Differences.exactly(1)
+    planes = _planes(g.cells)
+    repunit = ((1 << rows * cols) - 1) // ((1 << cols) - 1)
     for dr, dc in directions(max_direction):
         longest = _cells_ahead(rows, cols, 0, 0 if dc >= 0 else cols - 1, dr, dc)
         if longest < 2:
             continue
         j = dr * cols + dc
-        cut = partial(_edge_cut, rows, cols, dc) if dc else None
-        if not _difference_flagged(g.cells, j, t.numerator, t.denominator,
+        cut = partial(_edge_cut, cols, repunit, dc) if dc else None
+        if not _difference_flagged(planes, rows * cols, j, t.numerator, t.denominator,
                                    strict, min_period, longest, cut):
             continue
         for spec in _direction_lines(rows, cols, dr, dc):
@@ -344,8 +346,7 @@ def grid_search(
     The default direction cap side-1 covers every segment that fits, so an
     infeasible verdict rules the region out entirely.
     """
-    if not 1 <= alphabet_size <= MAX_ALPHABET:
-        raise ValueError(f"alphabet size must be in 1..{MAX_ALPHABET}, not {alphabet_size}")
+    _check_alphabet_size(alphabet_size)
     if side < 1:
         raise ValueError(f"region side must be at least 1, not {side}")
     t = _checked_threshold(threshold, min_period)

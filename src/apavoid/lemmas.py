@@ -5,23 +5,20 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .repetition import _mismatches
+from .repetition import _mismatch, _planes, _run_start
 from .words import FoldingSequence, Word, paperfolding_prefix
 
 
 def find_spaced_repeat(w: Word, m: int) -> int | None:
     """First i with w[i..i+m) == w[i+m+1..i+2m+1), a repeat around one spacer.
 
-    The two shifted copies are xored as big integers; a block match is a run
-    of m zero bytes, located with bytes.find at C speed.
+    A block match is a run of m clear bits in the mismatch of w's bit planes
+    at shift m + 1.
     """
     if m < 1:
         raise ValueError(f"block length must be at least 1, not {m}")
     s = w.symbols
-    n = len(s)
-    if n < 2 * m + 1:
-        return None
-    pos = _mismatches(s, m + 1).find(bytes(m))
+    pos = _run_start(_mismatch(_planes(s), m + 1), len(s) - m - 1, m)
     return pos if pos >= 0 else None
 
 
@@ -37,10 +34,7 @@ def has_power_of_period(w: Word, period: int, k: int) -> bool:
     if k < 2:
         raise ValueError(f"power must be at least 2, not {k}")
     s = w.symbols
-    n = len(s)
-    if n < k * period:
-        return False
-    return _mismatches(s, period).find(bytes((k - 1) * period)) >= 0
+    return _run_start(_mismatch(_planes(s), period), len(s) - period, (k - 1) * period) >= 0
 
 
 def square_periods(w: Word, periods: Iterable[int]) -> set[int]:

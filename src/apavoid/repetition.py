@@ -4,6 +4,11 @@ The scan contract: candidates are visited by ascending difference, then
 start, then offset within the subsequence, then period, and the first
 passing candidate is reported. Periods in reports are always the smallest
 period of the witness, and exponents are exact rationals.
+
+Scans read a word, a progression class or a grid's row-major cells as bit
+planes: plane P_k has bit k of symbol i as its bit i, so a 2-letter word has
+one plane, a 4-letter word two and any word at most four. Symbols i and
+i + d differ where bit i of OR_k (P_k ^ (P_k >> d)) is set, for i < n - d.
 """
 
 from __future__ import annotations
@@ -110,11 +115,41 @@ def smallest_period(w: Word) -> int:
     return p
 
 
-def _mismatches(s: bytes, shift: int) -> bytes:
-    """Byte i is zero exactly when s[i] == s[i + shift]; one big-integer xor."""
-    size = len(s) - shift
-    x = int.from_bytes(s[:size], "big") ^ int.from_bytes(s[shift:], "big")
-    return x.to_bytes(size, "big")
+_PLANE_DIGITS = tuple(bytes(48 + (b >> k & 1) for b in range(256)) for k in range(4))
+
+
+def _planes(s: bytes) -> list[int]:
+    """The bit planes of s, at least one: s reversed, spelled in binary digits
+    and read by ``int``, which is linear in base 2 and has no digit limit there."""
+    r = s[::-1]
+    return [int(r.translate(_PLANE_DIGITS[k]) or b"0", 2)
+            for k in range(max(1, max(s, default=0).bit_length()))]
+
+
+def _mismatch(planes: list[int], d: int) -> int:
+    """Bit i is set exactly when s[i] != s[i + d], for i < n - d; higher bits are junk."""
+    e = 0
+    for x in planes:
+        e |= x ^ (x >> d)
+    return e
+
+
+def _run_start(e: int, size: int, k: int, stride: int = 1) -> int:
+    """Least i with the k bits i, i + stride, ..., i + (k-1)*stride of e clear
+    and below size, or -1. Or-ing in e shifted down by stride, 2*stride, ...
+    until k bits are covered leaves bit i clear exactly there; a run of k
+    holds shorter ones, so the search stops once no shorter run is in range.
+    """
+    covered = 1
+    while True:
+        i = (e ^ (e + 1)).bit_length() - 1  # the lowest clear bit
+        if i >= size - (k - 1) * stride:
+            return -1
+        if covered == k:
+            return i
+        step = covered if 2 * covered <= k else k - covered
+        e |= e >> (stride * step)
+        covered += step
 
 
 def _checked_threshold(threshold: Fraction | int | str, min_period: int) -> Fraction:
@@ -133,13 +168,14 @@ def max_exponent(w: Word, *, size_cap: int = 8192) -> Fraction:
     This is the maximum over shifts p of (r + p) / p, where r is the longest
     run of positions with w[i] == w[i + p]: a factor of smallest period q
     gives a run of |f| - q at shift q, and a run at shift p gives a factor of
-    exponent at least (r + p) / p. For p = 1, 2, ... the word is xored with
-    itself shifted by p, and bytes.find looks for a zero run long enough to
-    beat the best exponent so far; a found run is grown to its end. The scan
-    stops once p passes the largest period at which a run can still beat the
-    best, which falls each time the best improves.
+    exponent at least (r + p) / p. For p = 1, 2, ... the mismatch of the
+    word's bit planes at shift p is searched for a run of clear bits long
+    enough to beat the best exponent so far; a found run is grown to the next
+    set bit, with one set just past the end. The scan stops once p passes the
+    largest period at which a run can still beat the best, which falls each
+    time the best improves.
 
-    The byte work is still quadratic in the worst case, so inputs beyond
+    The work is still quadratic in the worst case, so inputs beyond
     size_cap are rejected rather than silently taking minutes; pass a bigger
     cap to override.
     """
@@ -147,60 +183,54 @@ def max_exponent(w: Word, *, size_cap: int = 8192) -> Fraction:
         raise ValueError("the empty word has no exponent")
     if len(w) > size_cap:
         raise ValueError(f"word of length {len(w)} exceeds size_cap={size_cap}")
-    s = w.symbols
-    n = len(s)
+    n = len(w)
+    planes = _planes(w.symbols)
     best = Fraction(1)
     p, top = 1, _top_period(n, 1, 1, True)
     while p <= top:
-        diff = _mismatches(s, p)
-        i = diff.find(bytes(_min_run(p, best.numerator, best.denominator, True)))
+        e = _mismatch(planes, p) | 1 << (n - p)  # a mismatch past the end stops every run
+        i = _run_start(e, n - p, _min_run(p, best.numerator, best.denominator, True))
         while i >= 0:
-            stop = len(diff) - len(diff[i:].lstrip(b"\0"))
+            rest = e >> i
+            stop = i + (rest & -rest).bit_length() - 1
             best = Fraction(stop - i + p, p)
             top = _top_period(n, best.numerator, best.denominator, True)
-            i = diff.find(bytes(stop - i + 1), stop)
+            i = _run_start(e | ((1 << stop) - 1), n - p, stop - i + 1)
         p += 1
     return best
 
 
-def _difference_flagged(s: bytes, j: int, t_num: int, t_den: int, strict: bool,
-                        min_period: int, longest: int | None = None,
-                        cut: Callable[[int], bytes] | None = None) -> bool:
-    """Might some progression of difference j hold a repetition?
+def _difference_flagged(planes: list[int], n: int, j: int, t_num: int, t_den: int,
+                        strict: bool, min_period: int, longest: int | None = None,
+                        cut: Callable[[int], int] | None = None) -> bool:
+    """Might some progression of difference j in the n symbols hold a repetition?
 
-    For each period p, the word is xored with itself shifted by p*j; a zero
-    byte at i says s[i] == s[i + p*j]. Or-ing in copies shifted by j, 2j,
-    4j, ... bytes until r = _min_run(p) terms are covered leaves a zero at
-    i >= (r - 1)*j exactly where r such pairs end, one stride apart, in one
-    class. A repetition of smallest period q >= min_period leaves that mark
-    at p = q, so a difference that is never flagged is clean.
+    For each period p, bit i of the mismatch at shift p*j is clear when
+    s[i] == s[i + p*j]. ``_run_start`` with stride j looks for r =
+    _min_run(p) clear bits i, i + j, ..., i + (r-1)*j below n - p*j: r pairs
+    one stride apart, all in one class, all agreeing, which a repetition of
+    period p needs. A repetition of smallest period q >= min_period leaves
+    such a run at p = q, so a difference that is never flagged is clean.
 
     ``longest`` bounds the length of one progression (default: a class of
     the whole word). When the progressions are shorter than the classes, as
-    the lines of a grid in its row-major cells are, ``cut(p)`` returns bytes
-    (at least n - p*j of them) that are nonzero at each i whose pair
-    i + p*j lies on another progression. They are or-ed into the xor, so
-    those pairs never agree. The screen stays exact when every chain of
-    uncut pairs one stride apart lies on one progression; ``lattice``
-    shows this holds for the lines of a grid.
+    the lines of a grid in its row-major cells are, ``cut(p)`` returns an
+    integer with bit i set for each i < n - p*j whose pair i + p*j lies on
+    another progression. It is or-ed into the mismatch, so those pairs never
+    agree. The screen stays exact when every chain of uncut pairs one stride
+    apart lies on one progression; ``lattice`` shows this holds for the lines
+    of a grid.
     """
-    n = len(s)
     if longest is None:
         longest = -(-n // j)
     for p in range(min_period, _top_period(longest, t_num, t_den, strict) + 1):
         r = _min_run(p, t_num, t_den, strict)
         if r == 0:
             return True
-        size = n - p * j
-        e = int.from_bytes(s[:size], "big") ^ int.from_bytes(s[p * j :], "big")
+        e = _mismatch(planes, p * j)
         if cut is not None:
-            e |= int.from_bytes(cut(p)[:size], "big")
-        covered = 1
-        while covered < r:
-            step = min(covered, r - covered)
-            e |= e >> (8 * j * step)
-            covered += step
-        if e.to_bytes(size, "big").find(0, (r - 1) * j) >= 0:
+            e |= cut(p)
+        if _run_start(e, n - p * j, r, j) >= 0:
             return True
     return False
 
@@ -213,17 +243,18 @@ def _first_candidate(ap: bytes, t_num: int, t_den: int, strict: bool,
     min_period 1 one starts right there.
     """
     m = len(ap)
-    best = None
+    planes = _planes(ap)
+    best = m
     for p in range(min_period, _top_period(m, t_num, t_den, strict) + 1):
         r = _min_run(p, t_num, t_den, strict)
         if r == 0:
             return 0
-        i = _mismatches(ap, p).find(bytes(r), 0, m if best is None else best - 1 + r)
+        i = _run_start(_mismatch(planes, p), min(m - p, best - 1 + r), r)
         if i == 0:
             return 0
         if i > 0:
             best = i
-    return best
+    return best if best < m else None
 
 
 def find_repetition(
@@ -240,8 +271,9 @@ def find_repetition(
     is at least the threshold (above it when strict) with smallest period at
     least min_period. Returns None when every progression is clean.
 
-    Each difference is first screened as a whole, one xor-and-find pass per
-    period, and a difference without a mark is skipped. In a flagged
+    The word's bit planes are built once. Each difference is first screened
+    as a whole, one strided run search on their mismatch per period, and a
+    difference without a mark is skipped. In a flagged
     difference the classes are walked in start order; in each, the earliest
     offset where a repetition can start is found the same way, and the exact
     kernel runs from that offset on. It reads no symbol before it, so its
@@ -255,8 +287,9 @@ def find_repetition(
     t_num, t_den = t.numerator, t.denominator
     s = w.symbols
     n = len(s)
+    planes = _planes(s)
     for j in differences.candidates(n):
-        if not _difference_flagged(s, j, t_num, t_den, strict, min_period):
+        if not _difference_flagged(planes, n, j, t_num, t_den, strict, min_period):
             continue
         for start in range(j):
             ap = s[start::j]

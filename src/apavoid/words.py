@@ -17,6 +17,11 @@ _CHARS = "0123456789abcdef"
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
+def _check_alphabet_size(k: int) -> None:
+    if not 1 <= k <= MAX_ALPHABET:
+        raise ValueError(f"alphabet size must be in 1..{MAX_ALPHABET}, not {k}")
+
+
 class InsufficientFoldingBits(ValueError):
     """Raised when a construction needs more folding instructions than given."""
 
@@ -30,9 +35,7 @@ class Word:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "symbols", bytes(self.symbols))
-        if not 1 <= self.alphabet_size <= MAX_ALPHABET:
-            raise ValueError(f"alphabet size must be in 1..{MAX_ALPHABET}, "
-                             f"not {self.alphabet_size}")
+        _check_alphabet_size(self.alphabet_size)
         if self.symbols and max(self.symbols) >= self.alphabet_size:
             raise ValueError(f"symbol {max(self.symbols)} out of range for alphabet size "
                              f"{self.alphabet_size}")
@@ -163,11 +166,14 @@ class Morphism:
         self.images = {s: tuple(img) for s, img in self.images.items()}
         if not self.images:
             raise ValueError("a morphism needs at least one image")
+        _check_alphabet_size(self.alphabet_size)
         for s, img in self.images.items():
             if not img:
                 raise ValueError(f"empty image for symbol {s}")
-            if max(img) >= self.alphabet_size or min(img) < 0:
-                raise ValueError(f"image of {s} leaves the alphabet")
+            for v in img:
+                if not 0 <= v < self.alphabet_size:
+                    raise ValueError(f"alphabet size {self.alphabet_size} has no symbol {v}, "
+                                     f"so the image of {s} leaves the alphabet")
 
 
 def apply_morphism(m: Morphism, w: Word) -> Word:
@@ -207,6 +213,8 @@ def relabel(w: Word, mapping: Mapping[int, int]) -> Word:
     if not mapping:
         raise ValueError("relabeling {} maps no symbol")
     for s, t in mapping.items():
+        if not isinstance(t, int):
+            raise ValueError(f"relabeling sends {s} to {t!r}, not an integer symbol")
         if not 0 <= t < MAX_ALPHABET:
             raise ValueError(f"relabeling sends {s} to {t}, outside 0..{MAX_ALPHABET - 1}")
     try:

@@ -248,6 +248,32 @@ def test_verify_matches_line_by_line_oracle():
     assert 200 < hits < 800 and len(hit_directions) >= 8
 
 
+def test_verify_top_plane_cells_match_line_by_line_oracle():
+    # cells that differ only in the top bit plane, and product grids over
+    # all sixteen symbols, whose rows differ only in the two top planes
+    rng = random.Random(1616)
+    hits = 0
+    for case in range(300):
+        if case % 2:
+            g = random_verify_case(rng, 3 * case + 1)
+        else:
+            rows, cols = rng.randrange(1, 10), rng.randrange(1, 10)
+            letters = rng.choice(((3, 11), (0, 8), (7, 15)))
+            g = Grid(rows, cols, bytes(rng.choice(letters) for _ in range(rows * cols)), 16)
+        t = rng.choice((Fraction(2), Fraction(5, 2), Fraction(3), Fraction(4)))
+        strict, mp, cap = rng.random() < 0.5, rng.randrange(1, 4), rng.choice((1, 2, 8))
+        got = verify_grid(g, t, strict=strict, min_period=mp, max_direction=cap)
+        want = first_line_report_per_line(g.cells, g.rows, g.cols, _backend.first_repetition,
+                                          t, strict, mp, cap)
+        if got is not None:
+            hits += 1
+            spec, rep = got
+            got = ((spec.row, spec.col, spec.drow, spec.dcol, spec.count),
+                   (rep.offset, rep.period, int(rep.exponent * rep.period)))
+        assert got == want, (g, t, strict, mp, cap)
+    assert 50 < hits < 250
+
+
 def test_square_across_a_row_edge_is_not_a_line(monkeypatch):
     # "9 10 | 9 10" is a square of the row-major cells at difference 1, but
     # it wraps from row 0 to row 1; the wrapped pairs are 9 columns apart,

@@ -23,13 +23,14 @@ from apavoid.repetition import (
     max_exponent,
     smallest_period,
 )
-from apavoid import _backend
+from apavoid import _backend, repetition
 from apavoid.words import (
     FoldingSequence,
     Word,
     binary_large_squarefree,
     four_letter_squarefree,
     paperfolding_prefix,
+    relabel,
     ternary_overlapfree,
 )
 from oracles import (
@@ -393,6 +394,85 @@ def test_constructions_clean_on_their_differences(monkeypatch):
     # cubes 000 are there, but at 7/2 a period-1 run must be 3 long, not 2
     assert find_repetition(f, Fraction(7, 2), differences=Differences.exactly(1)) is None
     assert calls == []
+
+
+# ---------------------------------------------------------------- bit planes
+
+# letter pairs that differ only in the top bit plane of the word, and all
+# sixteen letters, which take all four planes
+PLANE_ALPHABETS = ((3, 11), (0, 8), (7, 15), (1, 3), (2, 6), tuple(range(16)))
+
+
+def _plane_word(rng, n):
+    letters = rng.choice(PLANE_ALPHABETS)
+    return Word(bytes(rng.choice(letters) for _ in range(n)), 16)
+
+
+def test_top_plane_letters_match_oracle():
+    rng = random.Random(1616)
+    thresholds = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(4))
+    for _ in range(300):
+        word = _plane_word(rng, rng.randrange(1, 28))
+        sym = list(word.symbols)
+        t, strict, mp = rng.choice(thresholds), rng.random() < 0.5, rng.randrange(1, 4)
+        sel = rng.choice(("all", "odd", "exact"))
+        exact = rng.randrange(1, len(sym) + 1) if sel == "exact" else None
+        if sel == "exact":
+            diffs = Differences.exactly(exact)
+        else:
+            diffs = Differences.odd() if sel == "odd" else Differences.all()
+        got = find_repetition(word, t, strict=strict, min_period=mp, differences=diffs)
+        assert _report_tuple(got) == first_report(sym, t, strict, mp, sel == "odd", exact), \
+            (word.to_text(), t, strict, mp, sel, exact)
+
+
+def test_top_plane_letters_max_exponent_matches_kernel():
+    rng = random.Random(1617)
+    for _ in range(40):
+        n = rng.randrange(1, 300)
+        sym = bytearray(_plane_word(rng, n).symbols)
+        p, at = rng.randrange(1, 30), rng.randrange(n)
+        for i in range(at + p, min(n, at + p + rng.randrange(1, 90))):
+            sym[i] = sym[i - p]
+        m, q = _backend.max_exponent_pair(bytes(sym))
+        assert max_exponent(Word(bytes(sym), 16)) == Fraction(m, q), sym.hex()
+
+
+def test_top_plane_letters_lemmas_match_naive():
+    rng = random.Random(1618)
+    for _ in range(200):
+        word = _plane_word(rng, rng.randrange(1, 60))
+        s = word.symbols
+        m, period, k = rng.randrange(1, 7), rng.randrange(1, 7), rng.randrange(2, 5)
+        assert find_spaced_repeat(word, m) == next(
+            (i for i in range(len(s) - 2 * m) if s[i : i + m] == s[i + m + 1 : i + 2 * m + 1]),
+            None)
+        assert has_power_of_period(word, period, k) == any(
+            s[i : i + (k - 1) * period] == s[i + period : i + k * period]
+            for i in range(len(s) - k * period + 1))
+
+
+def test_scan_past_the_int_str_digit_limit():
+    # 5000 letters, more than the 4300 digits int() reads in base 10; the
+    # letters 3, 11, 7 and 15 differ only in the two top planes
+    v = four_letter_squarefree(ORDINARY, 5000)
+    high = relabel(v, {0: 3, 1: 11, 2: 7, 3: 15})
+    assert find_repetition(high, 2, differences=Differences.odd()) is None
+    assert max_exponent(high) == max_exponent(v)
+    # a copy of the last letter closes squares, all ending there
+    s = high.symbols + high.symbols[-1:]
+    top = max(p for p in range(1, len(s) // 2 + 1) if s[-2 * p : -p] == s[-p:])
+    assert find_repetition(Word(s, 16), 2, differences=Differences.odd()).to_line() == \
+        f"diff=1 start=0 offset={len(s) - 2 * top} period={top} exponent=2/1"
+
+
+def test_scan_builds_planes_once(monkeypatch):
+    built = []
+    planes = repetition._planes
+    monkeypatch.setattr(repetition, "_planes", lambda s: built.append(len(s)) or planes(s))
+    assert find_repetition(four_letter_squarefree(ORDINARY, 1024), 2,
+                           differences=Differences.odd()) is None
+    assert built == [1024]
 
 
 # ---------------------------------------------------------------- block repeats

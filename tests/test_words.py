@@ -183,6 +183,11 @@ def test_negative_lengths_are_refused_by_name():
     (lambda: Morphism({}, 2), r"a morphism needs at least one image$"),
     (lambda: Morphism({0: ()}, 2), r"empty image for symbol 0$"),
     (lambda: Morphism({0: (0, 2)}, 2), r"image of 0 leaves the alphabet$"),
+    (lambda: Morphism({0: (0, 2)}, 2),
+     r"^alphabet size 2 has no symbol 2, so the image of 0 leaves the alphabet$"),
+    (lambda: Morphism({1: (-1,)}, 4), r"size 4 has no symbol -1, so the image of 1 leaves"),
+    (lambda: Morphism({0: (0, 20)}, 21), r"alphabet size must be in 1\.\.16, not 21$"),
+    (lambda: Morphism({0: (0,)}, 0), r"alphabet size must be in 1\.\.16, not 0$"),
     (lambda: iterate_morphism(Morphism({0: (0, 1)}, 2), Word(b"\1", 2), 4),
      r"no image for symbol 1$"),
     (lambda: iterate_morphism(Morphism({0: (0, 0), 1: (0,)}, 2), Word(b"\0\1", 2), 5),
@@ -193,6 +198,8 @@ def test_negative_lengths_are_refused_by_name():
     (lambda: relabel(Word(b"\0\1", 2), {0: -1, 1: 0}), r"sends 0 to -1, outside 0\.\.15$"),
     (lambda: relabel(Word(b"\0\1", 2), {0: 300, 1: 0}), r"sends 0 to 300, outside 0\.\.15$"),
     (lambda: relabel(Word(b"\0\1", 2), {0: 20, 1: 0}), r"sends 0 to 20, outside 0\.\.15$"),
+    (lambda: relabel(Word(b"\0", 2), {0: 1.5}), r"sends 0 to 1\.5, not an integer symbol$"),
+    (lambda: relabel(Word(b"\0", 2), {0: "1"}), r"sends 0 to '1', not an integer symbol$"),
     (lambda: find_spaced_repeat(Word(b"\0", 2), 0), r"block length must be at least 1, not 0$"),
     (lambda: has_power_of_period(Word(b"\0", 2), 0, 2), r"period must be at least 1, not 0$"),
     (lambda: has_power_of_period(Word(b"\0", 2), 1, 1), r"power must be at least 2, not 1$"),
