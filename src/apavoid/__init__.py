@@ -12,7 +12,6 @@ from .lattice import (
     GridSearchOutcome,
     LineSpec,
     directions,
-    enumerate_maximal_lines,
     export_ppm,
     extract_line,
     grid_search,
@@ -87,6 +86,6 @@ __all__ = [
     "backtrack_longest", "confirm_unavoidable",
     # lattice
     "Grid", "LineSpec", "GridSearchOutcome", "directions",
-    "enumerate_maximal_lines", "extract_line", "product_grid",
+    "extract_line", "product_grid",
     "verify_grid", "grid_search", "export_ppm",
 ]

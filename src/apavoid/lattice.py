@@ -172,16 +172,6 @@ def _direction_lines(rows: int, cols: int, dr: int, dc: int) -> Iterator[LineSpe
                 yield LineSpec(r, c, dr, dc, count)
 
 
-def enumerate_maximal_lines(rows: int, cols: int, max_direction: int) -> list[LineSpec]:
-    """Every inextensible in-bounds segment of 2+ cells, one per undirected line.
-
-    Order: direction-major, then row-major among heads; this order is part
-    of the verification contract.
-    """
-    return [spec for dr, dc in directions(max_direction)
-            for spec in _direction_lines(rows, cols, dr, dc)]
-
-
 def extract_line(g: Grid, spec: LineSpec) -> Word:
     """The cells of a line: the row-major cells from its head in steps of
     j = drow*cols + dcol. A straight line lies inside the grid when its first
@@ -213,7 +203,9 @@ def verify_grid(
     min_period: int = 1,
     max_direction: int = 8,
 ) -> tuple[LineSpec, RepetitionReport] | None:
-    """First repetition on any maximal line, in enumeration order, or None.
+    """First repetition on any maximal line, or None. Lines are taken
+    direction by direction, in the order of ``directions``, and row-major by
+    head within a direction.
 
     The lines of direction (dr, dc) are progressions of step j = dr*cols + dc
     in the row-major cells, so each direction is screened as a whole by
@@ -224,8 +216,8 @@ def verify_grid(
     stays on one line too: where the cell j before an uncut pair wraps to
     another row, its own column c' has c' + p*dc off the grid, so its pair
     is cut. A direction the screen
-    passes is clean. A flagged one has its lines scanned in enumeration
-    order at difference 1, so the first report is the one a line-by-line
+    passes is clean. A flagged one has its lines scanned in that order
+    at difference 1, so the first report is the one a line-by-line
     scan gives.
     """
     t = _checked_threshold(threshold, min_period)
@@ -345,6 +337,16 @@ def grid_search(
     with ``_grid_rule`` giving the symbols each cell forbids.
     The default direction cap side-1 covers every segment that fits, so an
     infeasible verdict rules the region out entirely.
+
+    The node count is the plain walk's, over every symbol at every cell,
+    but the walk visits only grids whose symbols first appear in increasing
+    order. Renaming symbols keeps every line clean, so the subtrees under a
+    partial grid's unused symbols are renamed copies; the first one is
+    walked and the rest, the siblings that follow it in plain order, are
+    counted. The first full grid in plain order is canonical, since renaming
+    a grid canonically never makes it lexicographically larger, so the
+    witness and its count are the plain walk's too. A budget that runs out
+    inside the counted copies is reported as run out at the budget.
     """
     _check_alphabet_size(alphabet_size)
     if side < 1:
@@ -356,7 +358,8 @@ def grid_search(
     total = side * side
     # a full assignment ends the walk; None is the engine's stop
     nodes, budget_hit, full = _backtrack(
-        alphabet_size, rule, lambda values: len(values) < total or None, node_budget)
+        alphabet_size, rule, lambda values: len(values) < total or None, node_budget,
+        count_plain=True)
     if full is not None:
         return GridSearchOutcome("satisfiable", side, nodes, Grid(side, side, full, alphabet_size))
     return GridSearchOutcome("budget_exhausted" if budget_hit else "infeasible", side, nodes)

@@ -171,6 +171,8 @@ class Morphism:
             if not img:
                 raise ValueError(f"empty image for symbol {s}")
             for v in img:
+                if not isinstance(v, int):
+                    raise ValueError(f"the image of {s} holds {v!r}, not an integer symbol")
                 if not 0 <= v < self.alphabet_size:
                     raise ValueError(f"alphabet size {self.alphabet_size} has no symbol {v}, "
                                      f"so the image of {s} leaves the alphabet")

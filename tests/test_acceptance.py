@@ -1,19 +1,14 @@
 """Acceptance suite: one test per numbered criterion, one printed verdict line each.
 
 Every criterion asserts exact frozen values and its stated wall-clock budget.
-The long optional run (criterion 13's seven-letter grid escalation) only
-executes when APAVOID_LONG is set.
 """
 
 import hashlib
 import itertools
-import os
 import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-
-import pytest
 
 from apavoid.lattice import export_ppm, grid_search, product_grid, verify_grid
 from apavoid.lemmas import (
@@ -43,7 +38,6 @@ from oracles import pf_positional
 
 ORDINARY = FoldingSequence.ordinary()
 SEED = 20260814
-LONG_RUNS = bool(os.environ.get("APAVOID_LONG"))
 
 
 @contextmanager
@@ -269,13 +263,13 @@ def test_criterion_13_long_threshold_confirmation():
         assert verdict.nodes == 17876
 
 
-@pytest.mark.skipif(not LONG_RUNS, reason="set APAVOID_LONG=1 to run")
 def test_criterion_13_long_seven_letter_grid():
     # Escalating the region side under the 10^8-node budget fills every side
     # up to 7 and then stalls: settling side 8 either way costs more nodes
     # than the budget allows, so the deterministic escalation profile is the
-    # frozen desk-scale outcome.
-    with criterion(13, "seven-letter escalation profile under the node budget", 10**9):
+    # frozen desk-scale outcome. The count is of the plain tree; the walk
+    # covers the renamed copies of each subtree by counting them.
+    with criterion(13, "seven-letter escalation profile under the node budget", 10):
         nodes = {}
         for side in range(2, 8):
             out = grid_search(7, 2, side, node_budget=10**8)

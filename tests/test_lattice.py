@@ -10,7 +10,6 @@ from apavoid.lattice import (
     GridSearchOutcome,
     LineSpec,
     directions,
-    enumerate_maximal_lines,
     export_ppm,
     extract_line,
     grid_search,
@@ -133,18 +132,19 @@ def test_directions_are_primitive_and_distinct():
 
 
 def test_two_by_two_has_six_segments():
-    specs = enumerate_maximal_lines(2, 2, 1)
-    assert len(specs) == 6
-    assert all(s.count == 2 for s in specs)
+    lines = grid_lines(2, 2, 1)
+    assert len(lines) == 6
+    assert all(count == 2 for *_, count in lines)
 
 
 def test_enumeration_matches_oracle():
+    # verify_grid's line order: direction by direction, heads row-major
     rng = random.Random(99)
     for _ in range(12):
         rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
         cap = rng.randrange(1, 5)
-        got = [(s.row, s.col, s.drow, s.dcol, s.count)
-               for s in enumerate_maximal_lines(rows, cols, cap)]
+        got = [(s.row, s.col, s.drow, s.dcol, s.count) for dr, dc in directions(cap)
+               for s in lattice._direction_lines(rows, cols, dr, dc)]
         assert got == grid_lines(rows, cols, cap)
 
 
@@ -162,7 +162,7 @@ def test_line_spec_validation():
 def test_extract_line_is_an_ap_of_the_flattening():
     rng = random.Random(5)
     g = random_grid(rng, 5, 7, 3)
-    for spec in enumerate_maximal_lines(5, 7, 3):
+    for spec in (LineSpec(*line) for line in grid_lines(5, 7, 3)):
         step = spec.drow * 7 + spec.dcol
         head = spec.row * 7 + spec.col
         want = Word(g.cells[head : head + (spec.count - 1) * step + 1 : step], 3)
@@ -190,12 +190,11 @@ def random_verify_case(rng, case):
         folds = FoldingSequence(tuple(rng.randrange(2) for _ in range(6)))
         g = product_grid(four_letter_squarefree(folds, rows), four_letter_squarefree(folds, cols))
         cells = bytearray(g.cells)
-        line = rng.choice(enumerate_maximal_lines(rows, cols, 8))
-        at = [(line.row + t * line.drow) * cols + line.col + t * line.dcol
-              for t in range(line.count)]
-        p = rng.randrange(1, line.count)
-        start = rng.randrange(line.count - p)
-        for t in range(start + p, rng.randrange(start + p, line.count) + 1):
+        row, col, drow, dcol, count = rng.choice(grid_lines(rows, cols, 8))
+        at = [(row + t * drow) * cols + col + t * dcol for t in range(count)]
+        p = rng.randrange(1, count)
+        start = rng.randrange(count - p)
+        for t in range(start + p, rng.randrange(start + p, count) + 1):
             cells[at[t]] = cells[at[t - p]]
         return Grid(rows, cols, bytes(cells), 16)
     k = rng.randrange(1, 17)
@@ -361,6 +360,41 @@ def test_search_budget_boundary():
         assert (done.status, done.nodes) == (status, nodes)
         short = grid_search(k, 2, side, node_budget=nodes - 1)
         assert short == GridSearchOutcome("budget_exhausted", side, nodes - 1)
+
+
+def test_search_counts_the_plain_tree_at_every_budget():
+    # the walk counts the renamed copies of a subtree instead of walking
+    # them; at every budget it must stop where the plain walk stops
+    for k, side, status, total in ((3, 2, "infeasible", 48), (7, 4, "satisfiable", 110)):
+        full = grid_search(k, 2, side)
+        assert (full.status, full.nodes) == (status, total)
+        for budget in range(total + 2):
+            out = grid_search(k, 2, side, node_budget=budget)
+            want = grid_search_per_ray(k, 2, side, _backend.clean_after_append,
+                                       node_budget=budget)
+            assert (out.status, out.nodes, out.witness and out.witness.cells) == want, budget
+
+
+def test_search_walks_the_canonical_tree(monkeypatch):
+    # the plain tree of six letters at side 4 has 374,802 nodes, the
+    # canonical one 549; the rule is asked once per grown node
+    calls = 0
+    grid_rule = lattice._grid_rule
+
+    def counted_rule(*args):
+        rule = grid_rule(*args)
+
+        def forbidden(values, limit):
+            nonlocal calls
+            calls += 1
+            return rule(values, limit)
+
+        return forbidden
+
+    monkeypatch.setattr(lattice, "_grid_rule", counted_rule)
+    out = grid_search(6, 2, 4)
+    assert (out.status, out.nodes) == ("infeasible", 374_802)
+    assert 0 < calls <= 549, calls
 
 
 def test_threshold_and_min_period_checked_up_front():

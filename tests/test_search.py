@@ -313,6 +313,20 @@ def test_confirm_unavoidable_budget_exhausted():
     assert v.max_length is None and v.nodes == 500
 
 
+def test_confirmation_counts_the_plain_tree_at_every_budget():
+    # the walk counts the renamed copies of a subtree instead of walking
+    # them; at every budget it must stop where the plain walk stops
+    for k, t, diffs, total in ((3, 2, Differences.odd(), 210), (2, 2, Differences.all(), 10)):
+        assert confirm_unavoidable(k, t, diffs).nodes == total
+        for budget in range(total + 2):
+            length, _, nodes, _, out = word_search_per_class(
+                k, t, clean_after_append, differences=(diffs.kind, diffs.value),
+                node_budget=budget)
+            want = (UnavoidabilityVerdict("budget_exhausted", None, nodes) if out
+                    else UnavoidabilityVerdict("finite", length, nodes))
+            assert confirm_unavoidable(k, t, diffs, node_budget=budget) == want, (k, budget)
+
+
 def test_min_period_search_grows_a_constant_word_within_budget():
     # the all-zero word stays clean when min_period is 2, so the walk dives
     # until the budget trips; each node's kernel call sees a period-1 tail

@@ -186,6 +186,8 @@ def test_negative_lengths_are_refused_by_name():
     (lambda: Morphism({0: (0, 2)}, 2),
      r"^alphabet size 2 has no symbol 2, so the image of 0 leaves the alphabet$"),
     (lambda: Morphism({1: (-1,)}, 4), r"size 4 has no symbol -1, so the image of 1 leaves"),
+    (lambda: Morphism({0: (0, 1.5)}, 2), r"^the image of 0 holds 1\.5, not an integer symbol$"),
+    (lambda: Morphism({1: ("1",)}, 2), r"^the image of 1 holds '1', not an integer symbol$"),
     (lambda: Morphism({0: (0, 20)}, 21), r"alphabet size must be in 1\.\.16, not 21$"),
     (lambda: Morphism({0: (0,)}, 0), r"alphabet size must be in 1\.\.16, not 0$"),
     (lambda: iterate_morphism(Morphism({0: (0, 1)}, 2), Word(b"\1", 2), 4),
