@@ -132,9 +132,9 @@ def test_directions_are_primitive_and_distinct():
 
 
 def test_two_by_two_has_six_segments():
-    lines = grid_lines(2, 2, 1)
-    assert len(lines) == 6
-    assert all(count == 2 for *_, count in lines)
+    specs = [s for dr, dc in directions(1) for s in lattice._direction_lines(2, 2, dr, dc)]
+    assert len(specs) == 6
+    assert all(s.count == 2 for s in specs)
 
 
 def test_enumeration_matches_oracle():
