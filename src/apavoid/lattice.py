@@ -12,7 +12,7 @@ The lines of one direction are progressions of one step in the row-major
 cells, so ``verify_grid`` screens a direction on their bit planes, as
 ``find_repetition`` screens a difference, and
 ``grid_search`` runs the word searches' engine on a rule read from per-cell
-witness chains rather than rebuilding rays.
+witness chains, whose backward rays are progressions of the same strides.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from ._backend import _min_run, _top_period
 from .repetition import (Differences, RepetitionReport, _checked_threshold,
                          _difference_flagged, _planes, find_repetition)
 from .search import _backtrack, _closing_symbols
-from .words import MAX_ALPHABET, Word, _CHARS, _check_alphabet_size
+from .words import MAX_ALPHABET, Word, _CHARS, _check_alphabet_size, _check_integer
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,8 +139,7 @@ def product_grid(u: Word, v: Word) -> Grid:
 
 def directions(max_direction: int) -> list[tuple[int, int]]:
     """Primitive directions up to reversal, components bounded in magnitude."""
-    if max_direction < 1:
-        raise ValueError(f"direction cap must be at least 1, not {max_direction}")
+    _check_integer(max_direction, "direction cap", 1)
     out = [(0, 1)]
     for dr in range(1, max_direction + 1):
         for dc in range(-max_direction, max_direction + 1):
@@ -257,53 +256,51 @@ def _grid_rule(alphabet_size: int, t: Fraction, side: int, strict: bool, min_per
     the symbols whose placement at the next cell closes a repetition on one
     of its backward rays.
 
-    Only repetitions ending at the new cell need a check. Each cell has
-    witness chains, built once: one per backward ray and period p, with
-    r = _min_run(p). A repetition of period p ending at the cell has r
-    agreements p steps apart along the ray; the last pairs the cell with
-    the cell p steps back, and the r - 1 before it lie among cells already
-    placed. So the rule is the set of symbols p steps back on the chains
-    whose r - 1 agreements hold: exactly those that close a repetition,
-    with min_period 1. With min_period > 1, or with r = 0 (threshold 1, not
-    strict), they are only candidates, kept by ``search._closing_symbols``
-    if ``_backend.clean_after_append`` rejects one of the cell's rays.
+    Only repetitions ending at the new cell need a check. As in
+    ``verify_grid``, a line of direction (dr, dc) is a progression of stride
+    j = dr*side + dc through the row-major cells. A cell whose predecessor
+    (row - dr, col - dc) is on the grid has a backward ray of n cells, the
+    predecessor's ray plus itself; then dr >= 1 with |dc| < side, or the
+    direction is (0, 1), so j >= 1 and the ray's other cells cell - (n-1)*j,
+    ..., cell - j all precede it. Each cell has witness chains, built once:
+    one per backward ray and period p, with r = _min_run(p). A repetition
+    of period p ending at the cell has r agreements p steps apart along the
+    ray; the last pairs the cell with the cell p steps back, cell - p*j, and
+    the r - 1 before it lie among cells already placed. So the rule is the
+    set of symbols p steps back on the chains whose r - 1 agreements hold:
+    exactly those that close a repetition, with min_period 1. With
+    min_period > 1, or with r = 0 (threshold 1, not strict), they are only
+    candidates, kept by ``search._closing_symbols`` if
+    ``_backend.clean_after_append`` rejects one of the cell's rays.
     """
     total = side * side
     t_num, t_den = t.numerator, t.denominator
-    # backward rays: for each cell, the in-bounds run ending there per
-    # direction, in line order; all ray cells precede it row-major
-    rays_at: list[list[tuple[int, ...]]] = [[] for _ in range(total)]
-    for dr, dc in directions(max_direction):
-        for r in range(side):
-            for c in range(side):
-                ray = []
-                rr, cc = r, c
-                while 0 <= rr < side and 0 <= cc < side:
-                    ray.append(rr * side + cc)
-                    rr -= dr
-                    cc -= dc
-                if len(ray) >= 2:
-                    ray.reverse()
-                    rays_at[r * side + c].append(tuple(ray))
-
     # per cell: cells p back on chains with r = 1, chains with r >= 2 as
-    # (getter, getter, cell p back), and whether some chain has r = 0
+    # (getter, getter, cell p back), the placed cells of each backward ray
+    # as a slice, and whether some chain has r = 0; one pass per direction
     lone: list[list[int]] = [[] for _ in range(total)]
     chained: list[list[tuple]] = [[] for _ in range(total)]
+    heads: list[list[slice]] = [[] for _ in range(total)]
     open_cell = [False] * total
-    for cell, rays in enumerate(rays_at):
-        for ray in rays:
-            n = len(ray)
+    for dr, dc in directions(max_direction):
+        j = dr * side + dc
+        count = [1] * total  # cells on the backward ray ending at each cell
+        for cell in range(total):
+            if cell < dr * side or not 0 <= cell % side - dc < side:
+                continue  # no predecessor: a ray of one cell
+            n = count[cell] = count[cell - j] + 1
+            heads[cell].append(slice(cell - (n - 1) * j, cell, j))
             for p in range(min_period, _top_period(n, t_num, t_den, strict) + 1):
                 r = _min_run(p, t_num, t_den, strict)
                 if r == 0:
                     open_cell[cell] = True
                     break
+                back = cell - p * j
                 if r == 1:
-                    lone[cell].append(ray[n - 1 - p])
-                else:
-                    chained[cell].append((itemgetter(*ray[n - p - r : n - p - 1]),
-                                          itemgetter(*ray[n - r : n - 1]), ray[n - 1 - p]))
+                    lone[cell].append(back)
+                else:  # the r - 1 cells before back agree with the r - 1 before cell
+                    chained[cell].append((itemgetter(*range(back - (r - 1) * j, back, j)),
+                                          itemgetter(*range(cell - (r - 1) * j, cell, j)), back))
     exact = min_period == 1 and not any(open_cell)
 
     def forbidden(values: bytearray, limit: int) -> set[int]:
@@ -314,8 +311,8 @@ def _grid_rule(alphabet_size: int, t: Fraction, side: int, strict: bool, min_per
                 ban.add(values[back])
         if exact or not ban:
             return ban
-        placed = [bytes(map(values.__getitem__, ray[:-1])) for ray in rays_at[cell]]
-        return _closing_symbols(ban, placed, t_num, t_den, strict, min_period)
+        return _closing_symbols(ban, [values[h] for h in heads[cell]], t_num, t_den, strict,
+                                min_period)
 
     return forbidden
 
@@ -349,8 +346,7 @@ def grid_search(
     inside the counted copies is reported as run out at the budget.
     """
     _check_alphabet_size(alphabet_size)
-    if side < 1:
-        raise ValueError(f"region side must be at least 1, not {side}")
+    _check_integer(side, "region side", 1)
     t = _checked_threshold(threshold, min_period)
     if max_direction is None:
         max_direction = max(1, side - 1)

@@ -6,7 +6,7 @@ import itertools
 from typing import Iterable
 
 from .repetition import _mismatch, _planes, _run_start
-from .words import FoldingSequence, Word, paperfolding_prefix
+from .words import FoldingSequence, Word, _check_integer, paperfolding_prefix
 
 
 def find_spaced_repeat(w: Word, m: int) -> int | None:
@@ -15,8 +15,7 @@ def find_spaced_repeat(w: Word, m: int) -> int | None:
     A block match is a run of m clear bits in the mismatch of w's bit planes
     at shift m + 1.
     """
-    if m < 1:
-        raise ValueError(f"block length must be at least 1, not {m}")
+    _check_integer(m, "block length", 1)
     s = w.symbols
     pos = _run_start(_mismatch(_planes(s), m + 1), len(s) - m - 1, m)
     return pos if pos >= 0 else None
@@ -29,10 +28,8 @@ def has_power_of_period(w: Word, period: int, k: int) -> bool:
     period 2 even though its smallest period is also 2, and 0000 counts as
     a square of period 2 with smallest period 1.
     """
-    if period < 1:
-        raise ValueError(f"period must be at least 1, not {period}")
-    if k < 2:
-        raise ValueError(f"power must be at least 2, not {k}")
+    _check_integer(period, "period", 1)
+    _check_integer(k, "power", 2)
     s = w.symbols
     return _run_start(_mismatch(_planes(s), period), len(s) - period, (k - 1) * period) >= 0
 
@@ -71,8 +68,7 @@ def paperfolding_subwords(n: int) -> set[Word]:
     "Folds!", 1982; Allouche, "The number of factors in a paperfolding
     sequence", 1992).
     """
-    if n < 1:
-        raise ValueError(f"block length n must be at least 1, not {n}")
+    _check_integer(n, "block length n", 1)
     depth = (n - 1).bit_length()
     size = (2 << depth) - 1
     blocks: set[bytes] = set()
@@ -104,8 +100,7 @@ def lex_least_check(folds: FoldingSequence, n: int, shifts: int) -> bool:
     Checks the factors starting at shifts 0..shifts-1, a necessary (finite)
     condition for the candidate being the least word over all shifts.
     """
-    if n < 1:
-        raise ValueError(f"factor length must be at least 1, not {n}")
+    _check_integer(n, "factor length", 1)
     if shifts < 1:
         raise ValueError(f"need at least one shift, not {shifts}")
     target = b"\x00" + paperfolding_prefix(FoldingSequence.ordinary(), n - 1).symbols

@@ -19,7 +19,7 @@ from typing import Callable
 
 from . import _backend
 from ._backend import _min_run, _top_period
-from .words import Word
+from .words import Word, _check_integer
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,12 +31,9 @@ class Progression:
     count: int
 
     def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"start must be nonnegative, not {self.start}")
-        if self.difference < 1:
-            raise ValueError(f"difference must be at least 1, not {self.difference}")
-        if self.count < 0:
-            raise ValueError(f"count must be nonnegative, not {self.count}")
+        _check_integer(self.start, "start", 0)
+        _check_integer(self.difference, "difference", 1)
+        _check_integer(self.count, "count", 0)
 
     def positions(self) -> range:
         stop = self.start + self.count * self.difference
@@ -79,6 +76,8 @@ class Differences:
     def __post_init__(self) -> None:
         if self.kind not in ("all", "odd", "exact"):
             raise ValueError(f"unknown difference selector {self.kind!r}")
+        if self.value is not None and not isinstance(self.value, int):
+            raise ValueError(f"the {self.kind} selector needs an integer, not {self.value!r}")
         if self.kind == "exact" and (self.value is None or self.value < 1):
             raise ValueError(f"exact selector needs a difference of at least 1, not {self.value}")
         if self.kind != "exact" and self.value is not None and self.value < 1:
@@ -157,8 +156,7 @@ def _checked_threshold(threshold: Fraction | int | str, min_period: int) -> Frac
     t = threshold if isinstance(threshold, Fraction) else Fraction(threshold)
     if t < 1:
         raise ValueError(f"threshold must be at least 1, not {t}")
-    if min_period < 1:
-        raise ValueError(f"min_period must be at least 1, not {min_period}")
+    _check_integer(min_period, "min_period", 1)
     return t
 
 

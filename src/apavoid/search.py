@@ -36,7 +36,7 @@ from typing import Callable
 from . import _backend
 from ._backend import _min_run, _top_period
 from .repetition import Differences, _checked_threshold, find_repetition
-from .words import MAX_ALPHABET, Word
+from .words import MAX_ALPHABET, Word, _check_integer
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,12 +51,11 @@ class AvoidanceProblem:
     length_cap: int | None = None
 
     def __post_init__(self) -> None:
-        if not 2 <= self.alphabet_size <= MAX_ALPHABET:
-            raise ValueError(f"alphabet size must be in 2..{MAX_ALPHABET}, not {self.alphabet_size}")
+        _check_integer(self.alphabet_size, "alphabet size", 2, MAX_ALPHABET)
         object.__setattr__(self, "threshold",
                            _checked_threshold(self.threshold, self.min_period))
-        if self.length_cap is not None and self.length_cap < 1:
-            raise ValueError(f"length cap must be at least 1, not {self.length_cap}")
+        if self.length_cap is not None:
+            _check_integer(self.length_cap, "length cap", 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,37 +92,38 @@ def _backtrack(alphabet_size: int, forbidden: Callable[[bytearray, int], set[int
     the prefix that ended the walk, if one did.
 
     With count_plain the walk is canonical but counts nodes as the plain
-    walk does. Under a prefix with m of the k symbols, the children m, ...,
-    k - 1 are the unused symbols, and renaming one to another maps their
-    subtrees onto each other: the rules and ``on_clean`` ask nothing that a
-    renaming changes, so the copies have the same bans, depths and node
-    count T. In plain order the k - m - 1 copies are the siblings right
-    after child m, so once child m's subtree is done, adding (k - m - 1)*T
-    keeps the count equal to the plain walk's at every canonical node. A
-    word's canonical renaming is never lexicographically larger than the
-    word, so the first prefix that ends a plain walk is canonical: the walk
-    ends on the same prefix with the same count. When the copies overrun
-    the budget, the plain walk would have run out inside them; the walk
-    returns the budget as its count and no prefix.
+    walk does. Under a prefix with m < k of the k symbols, limit is m + 1,
+    so child m is limit - 1, and the children m, ..., k - 1 are the unused
+    symbols. Renaming one to another maps their subtrees onto each other:
+    the rules and ``on_clean`` ask nothing that a renaming changes, so the
+    copies have the same bans, depths and node count T. In plain order the
+    k - m - 1 copies are the siblings right after child m, so once child
+    m's subtree is done, adding (k - m - 1)*T keeps the count equal to the
+    plain walk's at every canonical node. A word's canonical renaming is
+    never lexicographically larger than the word, so the first prefix that
+    ends a plain walk is canonical: the walk ends on the same prefix with
+    the same count. When the copies overrun the budget, the plain walk
+    would have run out inside them; the walk returns the budget as its
+    count and no prefix.
     """
-    if node_budget is not None and node_budget < 0:
-        raise ValueError(f"node budget must be nonnegative, not {node_budget}")
+    if node_budget is not None:
+        _check_integer(node_budget, "node budget", 0)
     budget = float("inf") if node_budget is None else node_budget
     k = alphabet_size
     canonical = canonical or count_plain
     prefix = bytearray()
-    # per open position: (its symbol, limit, ban, fresh, nodes before its symbol)
-    stack: list[tuple[int, int, set[int], int, int]] = []
+    # per open position: (its symbol, limit, ban, nodes before its symbol);
+    # while limit < k, child limit - 1 is the unused symbol whose copies are counted
+    stack: list[tuple[int, int, set[int], int]] = []
     sym = nodes = 0
     limit = 1 if canonical else k
-    fresh = 0 if count_plain and k > 1 else -1  # the unused symbol whose copies are counted
     ban = forbidden(prefix, limit)
     while True:
         if sym >= limit:
             if not stack:
                 return nodes, False, None
             del prefix[-1]
-            sym, limit, ban, fresh, start = stack.pop()
+            sym, limit, ban, start = stack.pop()
         else:
             if nodes >= budget:
                 return nodes, True, None
@@ -133,18 +133,16 @@ def _backtrack(alphabet_size: int, forbidden: Callable[[bytearray, int], set[int
                 prefix.append(sym)
                 grow = on_clean(prefix)
                 if grow:
-                    stack.append((sym, limit, ban, fresh, start))
+                    stack.append((sym, limit, ban, start))
                     if canonical and sym == limit - 1 and limit < k:
                         limit += 1
-                        if count_plain:
-                            fresh = limit - 1 if limit < k else -1
                     sym = 0
                     ban = forbidden(prefix, limit)
                     continue
                 if grow is None:
                     return nodes, False, bytes(prefix)
                 del prefix[-1]
-        if sym == fresh:  # its subtree is done: count the renamed copies
+        if count_plain and sym == limit - 1 < k - 1:  # subtree done: count the renamed copies
             nodes += (k - 1 - sym) * (nodes - start)
             if nodes > budget:
                 return node_budget, True, None

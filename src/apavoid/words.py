@@ -17,9 +17,20 @@ _CHARS = "0123456789abcdef"
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
+def _check_integer(value: int, what: str, least: int, most: int | None = None) -> None:
+    """Refuse, naming it, a value that is not an integer, is below least, or
+    is above most when most is given."""
+    if not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    if most is not None and not least <= value <= most:
+        raise ValueError(f"{what} must be in {least}..{most}, not {value}")
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{what} must be {bound}, not {value}")
+
+
 def _check_alphabet_size(k: int) -> None:
-    if not 1 <= k <= MAX_ALPHABET:
-        raise ValueError(f"alphabet size must be in 1..{MAX_ALPHABET}, not {k}")
+    _check_integer(k, "alphabet size", 1, MAX_ALPHABET)
 
 
 class InsufficientFoldingBits(ValueError):
@@ -141,8 +152,7 @@ def paperfolding_prefix(folds: FoldingSequence, n: int) -> Word:
     reads g_e XOR (q mod 2). The tests hold this builder to both forms.
     With all-zero instructions it starts 0010011000110110.
     """
-    if n < 0:
-        raise ValueError(f"length must be nonnegative, not {n}")
+    _check_integer(n, "length", 0)
     k = folding_bits_needed(n)
     folds.require(k)
     s = b""
@@ -239,8 +249,7 @@ BLOCK_CODING = Morphism({0: (0, 1, 1, 0), 1: (0, 1, 0, 1), 2: (0, 0, 0, 1), 3: (
 
 def carpi_word(n: int) -> Word:
     """Length-``n`` prefix of the Carpi fixed point, 0-based symbols."""
-    if n < 0:
-        raise ValueError(f"length must be nonnegative, not {n}")
+    _check_integer(n, "length", 0)
     seed = Word(bytes([5]), CARPI_MORPHISM.alphabet_size)
     return relabel(iterate_morphism(CARPI_MORPHISM, seed, n), _CARPI_TO_INTERNAL)
 
@@ -260,16 +269,14 @@ def four_letter_squarefree(folds: FoldingSequence, n: int) -> Word:
 
 def ternary_overlapfree(folds: FoldingSequence, n: int) -> Word:
     """Letterwise coding of the four-letter word into three symbols."""
-    if n < 0:
-        raise ValueError(f"length must be nonnegative, not {n}")
+    _check_integer(n, "length", 0)
     v = four_letter_squarefree(folds, (n + 1) // 2)
     return apply_morphism(TERNARY_CODING, v).prefix(n)
 
 
 def binary_large_squarefree(folds: FoldingSequence, n: int) -> Word:
     """Block coding of the four-letter word into four-bit chunks."""
-    if n < 0:
-        raise ValueError(f"length must be nonnegative, not {n}")
+    _check_integer(n, "length", 0)
     v = four_letter_squarefree(folds, (n + 3) // 4)
     return apply_morphism(BLOCK_CODING, v).prefix(n)
 

@@ -435,28 +435,32 @@ def test_search_matches_per_ray_loop():
 def test_grid_rule_matches_full_recheck():
     # random clean partial grids, built greedily with every placed cell
     # checked by brute force on each backward ray; at the next cell the rule
-    # must forbid exactly the symbols that the brute force rejects
+    # must forbid exactly the symbols that the brute force rejects. Besides
+    # the default cap side - 1, caps 1, 2 and 8 reach directions with no
+    # ray and strides at the grid's edge
     rng = random.Random(4242)
-    checked = fallback_bans = 0
+    checked = fallback_bans = 0  # at the cap side - 1
     for _ in range(300):
         side = rng.randrange(2, 6)
         k = rng.randrange(2, 6)
         t = rng.choice((Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2)))
         strict = rng.random() < 0.5
         mp = rng.randrange(1, 4)
-        rule = lattice._grid_rule(k, t, side, strict, mp, side - 1)
-        values = bytearray()
-        for rays in backward_rays(side, side - 1):
-            want = {sym for sym in range(k) if any(
-                first_report(bytes(values[i] for i in ray[:-1]) + bytes((sym,)), t, strict, mp,
-                             exact_diff=1) is not None for ray in rays)}
-            assert rule(values, k) == want, (side, k, t, strict, mp, bytes(values))
-            checked += 1
-            fallback_bans += mp > 1 and bool(want)
-            allowed = [sym for sym in range(k) if sym not in want]
-            if not allowed:
-                break
-            values.append(rng.choice(allowed))
+        for cap in sorted({side - 1, 1, 2, 8}):
+            rule = lattice._grid_rule(k, t, side, strict, mp, cap)
+            values = bytearray()
+            for rays in backward_rays(side, cap):
+                want = {sym for sym in range(k) if any(
+                    first_report(bytes(values[i] for i in ray[:-1]) + bytes((sym,)), t, strict,
+                                 mp, exact_diff=1) is not None for ray in rays)}
+                assert rule(values, k) == want, (side, k, t, strict, mp, cap, bytes(values))
+                if cap == side - 1:
+                    checked += 1
+                    fallback_bans += mp > 1 and bool(want)
+                allowed = [sym for sym in range(k) if sym not in want]
+                if not allowed:
+                    break
+                values.append(rng.choice(allowed))
     assert checked >= 3000 and fallback_bans >= 400, (checked, fallback_bans)
 
 

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apavoid.cli import parse_diffs
-from apavoid.lattice import Grid, GridSearchOutcome, LineSpec
+from apavoid.lattice import Grid, GridSearchOutcome, LineSpec, grid_search, verify_grid
 from apavoid.lemmas import (check_parity_separation, find_spaced_repeat, has_power_of_period,
                             lex_least_check)
 from apavoid.repetition import (Differences, Progression, RepetitionReport, find_repetition,
                                 max_exponent)
-from apavoid.search import AvoidanceProblem, SearchResult, UnavoidabilityVerdict
+from apavoid.search import (AvoidanceProblem, SearchResult, UnavoidabilityVerdict,
+                            backtrack_longest, confirm_unavoidable)
 from apavoid.words import (
     CARPI_MORPHISM,
     FoldingSequence,
@@ -213,6 +214,29 @@ def test_negative_lengths_are_refused_by_name():
     (lambda: binary_large_squarefree(ORDINARY, -7), r"length must be nonnegative, not -7$"),
     (lambda: max_exponent(Word(b"", 2)), r"the empty word has no exponent$"),
     (lambda: parse_diffs("0"), r"--diffs difference must be at least 1, not 0$"),
+    # counts and sizes are integers; a float would run a wrong or endless walk
+    (lambda: Word(b"\0", 1.5), r"alphabet size must be an integer, not 1\.5$"),
+    (lambda: Grid(1, 1, b"\0", 1.5), r"^alphabet size must be an integer, not 1\.5$"),
+    (lambda: Morphism({0: (0,)}, 1.5), r"size must be an integer, not 1\.5$"),
+    (lambda: grid_search(2.5, 2, 2), r"alphabet size must be an integer, not 2\.5$"),
+    (lambda: confirm_unavoidable(2.5, 3, Differences.odd()),
+     r"^alphabet size must be an integer, not 2\.5$"),
+    (lambda: AvoidanceProblem(4, 2, Differences.odd(), length_cap=12.5),
+     r"length cap must be an integer, not 12\.5$"),
+    (lambda: backtrack_longest(AvoidanceProblem(4, 2, Differences.odd()), node_budget=100.5),
+     r"node budget must be an integer, not 100\.5$"),
+    (lambda: grid_search(2, 2, 2, node_budget=1e3),
+     r"node budget must be an integer, not 1000\.0$"),
+    (lambda: Differences.exactly(2.5), r"the exact selector needs an integer, not 2\.5$"),
+    (lambda: Differences.odd(2.5), r"the odd selector needs an integer, not 2\.5$"),
+    (lambda: find_repetition(Word(b"\0", 2), 2, min_period=1.5),
+     r"min_period must be an integer, not 1\.5$"),
+    (lambda: verify_grid(Grid(1, 1, b"\0", 2), 2, max_direction=2.5),
+     r"direction cap must be an integer, not 2\.5$"),
+    (lambda: grid_search(2, 2, 2.5), r"region side must be an integer, not 2\.5$"),
+    (lambda: carpi_word(2.5), r"^length must be an integer, not 2\.5$"),
+    (lambda: Progression(0, 1.5, 2), r"^difference must be an integer, not 1\.5$"),
+    (lambda: has_power_of_period(Word(b"\0", 2), 1.5, 2), r"^period must be an integer, not 1\.5$"),
 ])
 def test_errors_name_the_bad_value(call, match):
     with pytest.raises(ValueError, match=match):
