@@ -25,7 +25,7 @@ class UsageError(ValueError):
 
 # Node budget of a word search run without --length-cap. Such a search never
 # ends when the problem admits an infinite word; on the Carpi problem
-# (4 letters, squares on odd differences) this many nodes take 3.3-4.5 s of
+# (4 letters, squares on odd differences) this many nodes take 1.7-1.9 s of
 # wall time on 2 CPUs with Python 3.11.
 SEARCH_NODE_BUDGET = 10**5
 

@@ -43,6 +43,8 @@ class Grid:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cells", bytes(self.cells))
+        _check_integer(self.rows, "row count")
+        _check_integer(self.cols, "column count")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid must have at least one row and one column, "
                              f"not {self.rows}x{self.cols}")
@@ -107,14 +109,15 @@ class LineSpec:
     count: int
 
     def __post_init__(self) -> None:
+        for name in ("row", "col", "drow", "dcol"):
+            _check_integer(getattr(self, name), f"line {name}")
+        _check_integer(self.count, "line cell count", 1)
         if self.row < 0 or self.col < 0:
             raise ValueError("line start must be inside the grid")
         if self.drow == 0 and self.dcol == 0:
             raise ValueError("line direction cannot be zero")
         if math.gcd(abs(self.drow), abs(self.dcol)) != 1:
             raise ValueError("line direction must be primitive")
-        if self.count < 1:
-            raise ValueError("line must visit at least one cell")
 
 
 def product_grid(u: Word, v: Word) -> Grid:
@@ -249,12 +252,12 @@ class GridSearchOutcome:
     witness: Grid | None = None
 
 
-def _grid_rule(alphabet_size: int, t: Fraction, side: int, strict: bool, min_period: int,
+def _grid_rule(t: Fraction, side: int, strict: bool, min_period: int,
                max_direction: int) -> Callable[[bytearray, int], set[int]]:
     """The engine's rule for a side x side grid, the counterpart of
-    ``search._word_rule``: given the cells placed so far in row-major order,
-    the symbols whose placement at the next cell closes a repetition on one
-    of its backward rays.
+    ``search._word_rule``: given the cells placed so far in row-major order
+    and a limit above each of them, the symbols below limit whose placement
+    at the next cell closes a repetition on one of its backward rays.
 
     Only repetitions ending at the new cell need a check. As in
     ``verify_grid``, a line of direction (dr, dc) is a progression of stride
@@ -269,19 +272,20 @@ def _grid_rule(alphabet_size: int, t: Fraction, side: int, strict: bool, min_per
     the r - 1 before it lie among cells already placed. So the rule is the
     set of symbols p steps back on the chains whose r - 1 agreements hold:
     exactly those that close a repetition, with min_period 1. With
-    min_period > 1, or with r = 0 (threshold 1, not strict), they are only
-    candidates, kept by ``search._closing_symbols`` if
-    ``_backend.clean_after_append`` rejects one of the cell's rays.
+    min_period > 1 they are only candidates, as is every symbol below limit
+    with r = 0 (threshold 1, not strict), kept by ``search._closing_symbols``
+    if ``_backend.clean_after_append`` rejects one of the cell's rays.
     """
     total = side * side
     t_num, t_den = t.numerator, t.denominator
+    r0 = _min_run(min_period, t_num, t_den, strict)
+    exact = min_period == 1 and r0 > 0
     # per cell: cells p back on chains with r = 1, chains with r >= 2 as
     # (getter, getter, cell p back), the placed cells of each backward ray
-    # as a slice, and whether some chain has r = 0; one pass per direction
+    # as a slice; one pass per direction. A chain with r = 0 needs no table
     lone: list[list[int]] = [[] for _ in range(total)]
     chained: list[list[tuple]] = [[] for _ in range(total)]
     heads: list[list[slice]] = [[] for _ in range(total)]
-    open_cell = [False] * total
     for dr, dc in directions(max_direction):
         j = dr * side + dc
         count = [1] * total  # cells on the backward ray ending at each cell
@@ -292,20 +296,16 @@ def _grid_rule(alphabet_size: int, t: Fraction, side: int, strict: bool, min_per
             heads[cell].append(slice(cell - (n - 1) * j, cell, j))
             for p in range(min_period, _top_period(n, t_num, t_den, strict) + 1):
                 r = _min_run(p, t_num, t_den, strict)
-                if r == 0:
-                    open_cell[cell] = True
-                    break
                 back = cell - p * j
                 if r == 1:
                     lone[cell].append(back)
-                else:  # the r - 1 cells before back agree with the r - 1 before cell
+                elif r:  # the r - 1 cells before back agree with the r - 1 before cell
                     chained[cell].append((itemgetter(*range(back - (r - 1) * j, back, j)),
                                           itemgetter(*range(cell - (r - 1) * j, cell, j)), back))
-    exact = min_period == 1 and not any(open_cell)
 
     def forbidden(values: bytearray, limit: int) -> set[int]:
         cell = len(values)
-        ban = set(range(alphabet_size)) if open_cell[cell] else {values[b] for b in lone[cell]}
+        ban = {values[b] for b in lone[cell]} if r0 else set(range(limit))
         for same, again, back in chained[cell]:
             if same(values) == again(values):
                 ban.add(values[back])
@@ -350,7 +350,7 @@ def grid_search(
     t = _checked_threshold(threshold, min_period)
     if max_direction is None:
         max_direction = max(1, side - 1)
-    rule = _grid_rule(alphabet_size, t, side, strict, min_period, max_direction)
+    rule = _grid_rule(t, side, strict, min_period, max_direction)
     total = side * side
     # a full assignment ends the walk; None is the engine's stop
     nodes, budget_hit, full = _backtrack(

@@ -41,8 +41,7 @@ def square_periods(w: Word, periods: Iterable[int]) -> set[int]:
 
 def subword_set(w: Word, n: int) -> set[Word]:
     """All distinct length-n contiguous blocks of w."""
-    if not 1 <= n <= len(w):
-        raise ValueError(f"block length {n} out of range for a word of length {len(w)}")
+    _check_integer(n, "block length", 1, len(w))
     s = w.symbols
     blocks = {s[i : i + n] for i in range(len(s) - n + 1)}
     return {Word(b, w.alphabet_size) for b in blocks}
@@ -84,6 +83,7 @@ def check_parity_separation(w: Word, n: int) -> bool:
     Only meaningful from n = 7 upward; shorter blocks of paperfolding words
     do recur across parities, so smaller n is rejected.
     """
+    _check_integer(n, "block length")
     if n < 7:
         raise ValueError(f"parity separation requires block length at least 7, not {n}")
     s = w.symbols
@@ -101,6 +101,7 @@ def lex_least_check(folds: FoldingSequence, n: int, shifts: int) -> bool:
     condition for the candidate being the least word over all shifts.
     """
     _check_integer(n, "factor length", 1)
+    _check_integer(shifts, "shift count")
     if shifts < 1:
         raise ValueError(f"need at least one shift, not {shifts}")
     target = b"\x00" + paperfolding_prefix(FoldingSequence.ordinary(), n - 1).symbols

@@ -3,12 +3,13 @@
 The predicates are hereditary (every prefix of a good word or grid is good),
 so one engine walks the positions depth first, symbols ascending, and on
 entering a position asks a rule which symbols would close a repetition
-there. Both rules read the answer off witness chains, the agreements
-already placed that a repetition ending at the new position needs: along
-the class of each difference for words, along each backward ray for grids.
-The word rule reads the chains that need no agreement as one slice of the
-prefix per period, across every class at once, from a plan it keeps per
-word length, and with min_period 1 it stops once every symbol is banned.
+there, with a limit above every placed symbol: the rule returns exactly
+the symbols below limit that close one. Both rules read the answer off
+witness chains, the agreements already placed that a repetition ending at
+the new position needs: along the class of each difference for words,
+along each backward ray for grids. The word rule reads the chains that
+need no agreement as one slice of the prefix per period, across every
+class at once, from a plan it keeps per word length.
 Node counts are symbols tried and are deterministic for a given problem.
 
 The walks whose answer is a verdict, ``confirm_unavoidable`` and
@@ -84,9 +85,12 @@ def _backtrack(alphabet_size: int, forbidden: Callable[[bytearray, int], set[int
                count_plain: bool = False) -> tuple[int, bool, bytes | None]:
     """Walk positions 0, 1, 2, ... depth first, symbols ascending, one node each.
 
-    On entering a position, ``forbidden(prefix, limit)`` gives the symbols
-    below limit that may not follow the prefix; limit is the alphabet size,
-    or with canonical the largest symbol used so far plus one. Each clean
+    On entering a position, ``forbidden(prefix, limit)`` is asked for the
+    symbols below limit that may not follow the prefix. Limit is above every
+    placed symbol: the alphabet size, or with canonical the number of
+    symbols used so far plus one, at most k (the root asks with limit 1, and
+    the child after symbol 0 with limit 2). A rule must return exactly the
+    symbols below limit whose append closes a repetition. Each clean
     prefix goes to ``on_clean``: True grows it, False tries the next symbol,
     None ends the walk. Returns the nodes, whether the budget ran out, and
     the prefix that ended the walk, if one did.
@@ -153,10 +157,10 @@ def _closing_symbols(candidates: set[int], heads: list[bytes | bytearray], t_num
                      t_den: int, strict: bool, min_period: int) -> set[int]:
     """The candidates whose append to one of the heads makes it unclean.
 
-    The word and grid rules read candidates off witness chains; where a
-    chain alone cannot decide (min_period > 1, or threshold 1 not strict),
-    each candidate is confirmed by ``_backend.clean_after_append`` on every
-    head: the placed part of a class or ray through the new position.
+    Where witness chains cannot decide (min_period > 1), or give nothing to
+    read (threshold 1 not strict: every symbol below limit is a candidate),
+    the rules confirm each candidate by ``_backend.clean_after_append`` on
+    every head: the placed part of a class or ray through the new position.
     """
     return {sym for sym in candidates if not all(
         _backend.clean_after_append(head + bytes((sym,)), t_num, t_den, strict, min_period)
@@ -172,12 +176,13 @@ def _word_rule(problem: AvoidanceProblem) -> Callable[[bytes | bytearray, int], 
     (n - k*j, n - k*j - p*j), k = 1..r-1, already agree among the placed
     symbols (a witness chain, which needs p <= _top_period(n//j + 1)), and
     the new symbol equals the one at n - p*j. The rule bans those symbols:
-    exactly the closing ones, with min_period 1, and then it stops as soon
-    as every symbol below limit is banned. With min_period > 1, or with
-    r = 0 (threshold 1, not strict), they are only candidates, confirmed as
-    the grid rule's are, so every chain is read. The answer depends on the
-    prefix alone, so the rule can be asked about any prefix, in or out of
-    a walk.
+    exactly the closing ones, with min_period 1, and then it stops once it
+    holds limit bans: they are placed symbols, all below limit. With
+    min_period > 1 they are only candidates, confirmed as the grid rule's
+    are, so every chain is read; with r = 0 (threshold 1, not strict) every
+    symbol below limit is a candidate. The answer depends on the prefix and
+    limit alone, so the rule can be asked about any prefix, in or out of a
+    walk.
 
     A chain with r = 1 holds with nothing to check and needs only p*j <= n.
     The differences form a range, so for each such period p the bans of
@@ -229,20 +234,14 @@ def _word_rule(problem: AvoidanceProblem) -> Callable[[bytes | bytearray, int], 
 
     def forbidden(prefix: bytes | bytearray, limit: int) -> set[int]:
         n = len(prefix)
-        if r0 == 0:  # every symbol makes a factor of exponent 1
-            diffs = candidates(n + 1)
-            if diffs and n // diffs.start + 1 >= min_period:
-                return _closing_symbols(set(range(limit)), [prefix[n % j :: j] for j in diffs],
-                                        t_num, t_den, strict, min_period)
-            return set()
         if n >= len(chains_at):
             plan(n)
-        ban = set()
+        ban = set() if r0 else set(range(limit))  # with r = 0 every symbol is a candidate
         for s in ones_at[n]:
             ban.update(prefix[s])
         for j in chains_at[n]:
-            if exact and len(ban) >= limit and ban.issuperset(range(limit)):
-                return set(range(limit))  # nothing left to ban
+            if exact and len(ban) >= limit:
+                return ban  # every symbol below limit is banned
             m = n // j  # placed symbols on the class; the new one is its (m+1)-th
             head = prefix[n % j :: j]
             lo = los[m]
@@ -253,8 +252,6 @@ def _word_rule(problem: AvoidanceProblem) -> Callable[[bytes | bytearray, int], 
                 if head[m - r1 :] == head[i + 1 - r1 : i + 1]:
                     ban.add(head[i + 1])
                 i = head.rfind(c, lo, i)
-        if ban and max(ban) >= limit:  # a limit below a placed symbol
-            ban = {sym for sym in ban if sym < limit}
         if exact or not ban:
             return ban
         return _closing_symbols(ban, [prefix[n % j :: j] for j in candidates(n + 1)],

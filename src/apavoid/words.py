@@ -17,14 +17,15 @@ _CHARS = "0123456789abcdef"
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
-def _check_integer(value: int, what: str, least: int, most: int | None = None) -> None:
+def _check_integer(value: int, what: str, least: int | None = None,
+                   most: int | None = None) -> None:
     """Refuse, naming it, a value that is not an integer, is below least, or
-    is above most when most is given."""
+    is above most; a bound left as None is not checked."""
     if not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, not {value!r}")
     if most is not None and not least <= value <= most:
         raise ValueError(f"{what} must be in {least}..{most}, not {value}")
-    if value < least:
+    if least is not None and value < least:
         bound = "nonnegative" if least == 0 else f"at least {least}"
         raise ValueError(f"{what} must be {bound}, not {value}")
 
@@ -68,8 +69,7 @@ class Word:
         return "".join(_CHARS[s] for s in self.symbols)
 
     def prefix(self, n: int) -> "Word":
-        if not 0 <= n <= len(self.symbols):
-            raise ValueError(f"prefix of length {n} from a word of length {len(self.symbols)}")
+        _check_integer(n, "prefix length", 0, len(self.symbols))
         return Word(self.symbols[:n], self.alphabet_size)
 
     def __len__(self) -> int:
@@ -203,6 +203,7 @@ def iterate_morphism(m: Morphism, seed: Word, min_len: int) -> Word:
     (otherwise the iterates do not extend each other). Each iterate must
     extend the previous one and strictly grow whenever more length is needed.
     """
+    _check_integer(min_len, "length", 0)
     if len(seed) == 0:
         raise ValueError("seed must be nonempty")
     first = seed.symbols[0]

@@ -388,13 +388,13 @@ def test_console_script_roundtrip(tmp_path, child_env):
 
 def test_closed_stdout_exits_quietly(child_env):
     # the reader takes 10 bytes of a long word and closes the pipe
-    proc = subprocess.Popen([sys.executable, "-m", "apavoid", "gen", "--word", "v",
-                             "--folds", "ordinary", "--length", "200000"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env)
-    assert proc.stdout.read(10) == b"2131243121"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(), err) == (141, b"")
+    with subprocess.Popen([sys.executable, "-m", "apavoid", "gen", "--word", "v",
+                           "--folds", "ordinary", "--length", "200000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env) as proc:
+        assert proc.stdout.read(10) == b"2131243121"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(), err) == (141, b"")
 
 
 def test_module_entry_point(child_env):

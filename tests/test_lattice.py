@@ -437,8 +437,9 @@ def test_grid_rule_matches_full_recheck():
     # checked by brute force on each backward ray; at the next cell the rule
     # must forbid exactly the symbols that the brute force rejects. Besides
     # the default cap side - 1, caps 1, 2 and 8 reach directions with no
-    # ray and strides at the grid's edge
-    rng = random.Random(4242)
+    # ray and strides at the grid's edge. A limit above every placed symbol,
+    # as a canonical walk asks with, keeps the symbols below it
+    rng, limits = random.Random(4242), random.Random(4243)
     checked = fallback_bans = 0  # at the cap side - 1
     for _ in range(300):
         side = rng.randrange(2, 6)
@@ -447,13 +448,16 @@ def test_grid_rule_matches_full_recheck():
         strict = rng.random() < 0.5
         mp = rng.randrange(1, 4)
         for cap in sorted({side - 1, 1, 2, 8}):
-            rule = lattice._grid_rule(k, t, side, strict, mp, cap)
+            rule = lattice._grid_rule(t, side, strict, mp, cap)
             values = bytearray()
             for rays in backward_rays(side, cap):
                 want = {sym for sym in range(k) if any(
                     first_report(bytes(values[i] for i in ray[:-1]) + bytes((sym,)), t, strict,
                                  mp, exact_diff=1) is not None for ray in rays)}
                 assert rule(values, k) == want, (side, k, t, strict, mp, cap, bytes(values))
+                limit = limits.randrange(max(values, default=0) + 1, k + 1)
+                assert rule(values, limit) == want & set(range(limit)), (
+                    side, k, t, strict, mp, cap, bytes(values), limit)
                 if cap == side - 1:
                     checked += 1
                     fallback_bans += mp > 1 and bool(want)

@@ -209,8 +209,9 @@ def test_word_rule_matches_full_recheck():
                 for j in diffs.candidates(n + 1))]
             forbidden = rule(word, k)
             assert forbidden == set(range(k)) - set(clean), (prob, word)
-            # a lower limit asks about the symbols below it only
-            limit = rng.randrange(1, k + 1)
+            # a lower limit asks about the symbols below it only; the engine
+            # never asks with a limit at or below a placed symbol
+            limit = rng.randrange(max(word, default=0) + 1, k + 1)
             assert rule(word, limit) == forbidden & set(range(limit)), (prob, word, limit)
             if not clean:
                 break

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from apavoid.cli import parse_diffs
 from apavoid.lattice import Grid, GridSearchOutcome, LineSpec, grid_search, verify_grid
 from apavoid.lemmas import (check_parity_separation, find_spaced_repeat, has_power_of_period,
-                            lex_least_check)
+                            lex_least_check, subword_set)
 from apavoid.repetition import (Differences, Progression, RepetitionReport, find_repetition,
                                 max_exponent)
 from apavoid.search import (AvoidanceProblem, SearchResult, UnavoidabilityVerdict,
@@ -237,6 +237,18 @@ def test_negative_lengths_are_refused_by_name():
     (lambda: carpi_word(2.5), r"^length must be an integer, not 2\.5$"),
     (lambda: Progression(0, 1.5, 2), r"^difference must be an integer, not 1\.5$"),
     (lambda: has_power_of_period(Word(b"\0", 2), 1.5, 2), r"^period must be an integer, not 1\.5$"),
+    (lambda: Grid(1.0, 1, b"\0", 2), r"^row count must be an integer, not 1\.0$"),
+    (lambda: Grid(1, 1.0, b"\0", 2), r"^column count must be an integer, not 1\.0$"),
+    (lambda: LineSpec(0, 0, 1, 0, 1.5), r"^line cell count must be an integer, not 1\.5$"),
+    (lambda: LineSpec(0, 0, 1.0, 0, 2), r"^line drow must be an integer, not 1\.0$"),
+    (lambda: Word(b"\0\1", 2).prefix(1.5), r"^prefix length must be an integer, not 1\.5$"),
+    (lambda: subword_set(Word(b"\0\1\0", 2), 2.5),
+     r"^block length must be an integer, not 2\.5$"),
+    (lambda: check_parity_separation(Word(b"\0" * 9, 2), 7.5),
+     r"^block length must be an integer, not 7\.5$"),
+    (lambda: iterate_morphism(CARPI_MORPHISM, Word(b"\5", 8), 10.5),
+     r"^length must be an integer, not 10\.5$"),
+    (lambda: lex_least_check(ORDINARY, 8, 2.5), r"^shift count must be an integer, not 2\.5$"),
 ])
 def test_errors_name_the_bad_value(call, match):
     with pytest.raises(ValueError, match=match):
