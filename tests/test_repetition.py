@@ -34,6 +34,7 @@ from apavoid.words import (
     ternary_overlapfree,
 )
 from oracles import (
+    earliest_run,
     exponent_of,
     first_report,
     first_report_per_progression,
@@ -473,6 +474,46 @@ def test_scan_builds_planes_once(monkeypatch):
     assert find_repetition(four_letter_squarefree(ORDINARY, 1024), 2,
                            differences=Differences.odd()) is None
     assert built == [1024]
+    # a planted square on difference 1: its offset is the whole-word answer,
+    # so the one class, the word, has no planes of its own
+    sym = bytearray(four_letter_squarefree(ORDINARY, 1024).symbols)
+    sym[503:506] = sym[500:503]
+    for diffs in (Differences.odd(), Differences.exactly(1)):
+        built.clear()
+        rep = find_repetition(Word(bytes(sym), 4), 2, differences=diffs)
+        assert rep.to_line() == "diff=1 start=0 offset=500 period=3 exponent=2/1"
+        assert built == [1024]
+
+
+# thresholds of the run search, with strict
+RUN_THRESHOLDS = ((Fraction(1), False), (Fraction(3, 2), False), (Fraction(7, 4), False),
+                  (Fraction(2), False), (Fraction(2), True), (Fraction(5, 2), False),
+                  (Fraction(3), False))
+
+
+def test_earliest_run_matches_oracle():
+    rng = random.Random(2020)
+    starts = []
+    for _ in range(1500):
+        n = rng.randrange(1, 48)
+        if rng.random() < 0.5:
+            letters = rng.choice(PLANE_ALPHABETS)
+        else:
+            letters = tuple(range(rng.randrange(2, 17)))
+        sym = bytearray(rng.choice(letters) for _ in range(n))
+        j, p, at = rng.randrange(1, 8), rng.randrange(1, 5), rng.randrange(n)
+        for k in range(rng.randrange(6)):  # a planted run p strides long
+            if at + (k + p) * j < n:
+                sym[at + (k + p) * j] = sym[at + k * j]
+        t, strict = rng.choice(RUN_THRESHOLDS)
+        mp = rng.randrange(1, 4)
+        got = repetition._earliest_run(repetition._planes(bytes(sym)), n, j, -(-n // j),
+                                       t.numerator, t.denominator, strict, mp)
+        assert got == earliest_run(list(sym), j, t, strict, mp), (sym.hex(), j, t, strict, mp)
+        starts.append(got)
+    # 760 none, 358 at 0, 382 later, 103 of them at 8 or more
+    assert sum(i < 0 for i in starts) > 600 and sum(i > 0 for i in starts) > 300
+    assert sum(i >= 8 for i in starts) > 80
 
 
 # ---------------------------------------------------------------- block repeats

@@ -249,6 +249,18 @@ def test_negative_lengths_are_refused_by_name():
     (lambda: iterate_morphism(CARPI_MORPHISM, Word(b"\5", 8), 10.5),
      r"^length must be an integer, not 10\.5$"),
     (lambda: lex_least_check(ORDINARY, 8, 2.5), r"^shift count must be an integer, not 2\.5$"),
+    # a differences selector given by its CLI spelling, and a threshold that is no number
+    (lambda: find_repetition(Word(b"\0\0", 2), 2, differences="odd"),
+     r"^differences must be a Differences, such as Differences\.odd\(\), not 'odd'$"),
+    (lambda: AvoidanceProblem(2, 3, "odd"), r"^differences must be a Differences, .* not 'odd'$"),
+    (lambda: confirm_unavoidable(2, 3, "odd"), r"^differences must be a Differences, .* not 'odd'$"),
+    (lambda: find_repetition(Word(b"\0\0", 2), None),
+     r"^threshold must be a rational number, not None$"),
+    (lambda: find_repetition(Word(b"\0\0", 2), "1/0"),
+     r"^threshold must be a rational number, not '1/0'$"),
+    (lambda: verify_grid(Grid(1, 1, b"\0", 2), None),
+     r"^threshold must be a rational number, not None$"),
+    (lambda: grid_search(2, None, 2), r"^threshold must be a rational number, not None$"),
 ])
 def test_errors_name_the_bad_value(call, match):
     with pytest.raises(ValueError, match=match):
