@@ -28,7 +28,8 @@ from ._backend import _min_run, _top_period
 from .repetition import (Differences, RepetitionReport, _checked_threshold,
                          _earliest_run, _planes, find_repetition)
 from .search import _backtrack, _closing_symbols
-from .words import MAX_ALPHABET, Word, _CHARS, _check_alphabet_size, _check_integer
+from .words import (MAX_ALPHABET, Word, _CHARS, _check_alphabet_size, _check_integer,
+                    _symbol_bytes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,21 +43,22 @@ class Grid:
     factors: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", bytes(self.cells))
         _check_integer(self.rows, "row count")
         _check_integer(self.cols, "column count")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid must have at least one row and one column, "
                              f"not {self.rows}x{self.cols}")
+        _check_alphabet_size(self.alphabet_size)
+        object.__setattr__(self, "cells",
+                           _symbol_bytes(self.cells, "cell symbol", self.alphabet_size))
         if len(self.cells) != self.rows * self.cols:
             raise ValueError(f"{len(self.cells)} cells do not fill the declared "
                              f"{self.rows}x{self.cols} shape")
-        _check_alphabet_size(self.alphabet_size)
-        if self.cells and max(self.cells) >= self.alphabet_size:
-            raise ValueError(f"cell symbol {max(self.cells)} out of range for alphabet size "
-                             f"{self.alphabet_size}")
-        if self.factors is not None and self.factors[0] * self.factors[1] != self.alphabet_size:
-            raise ValueError("factors do not multiply to the alphabet size")
+        if self.factors is not None:
+            if len(self.factors) != 2:
+                raise ValueError(f"factors must be a pair of sizes, not {self.factors!r}")
+            if self.factors[0] * self.factors[1] != self.alphabet_size:
+                raise ValueError("factors do not multiply to the alphabet size")
 
     def cell(self, row: int, col: int) -> int:
         if not (0 <= row < self.rows and 0 <= col < self.cols):
@@ -129,15 +131,9 @@ def product_grid(u: Word, v: Word) -> Grid:
     k = u.alphabet_size
     if k * k > MAX_ALPHABET:
         raise ValueError(f"flattened alphabet {k}x{k} exceeds {MAX_ALPHABET}")
-    us, vs = u.symbols, v.symbols
-    cells = bytearray(len(us) * len(vs))
-    pos = 0
-    for a in us:
-        base = a * k
-        for b in vs:
-            cells[pos] = base + b
-            pos += 1
-    return Grid(len(us), len(vs), bytes(cells), k * k, factors=(k, k))
+    rows = [bytes(a * k + b for b in v.symbols) for a in range(k)]  # the row of u's symbol a
+    cells = b"".join(rows[a] for a in u.symbols)
+    return Grid(len(u), len(v), cells, k * k, factors=(k, k))
 
 
 def directions(max_direction: int) -> list[tuple[int, int]]:
@@ -280,11 +276,12 @@ def _grid_rule(t: Fraction, side: int, strict: bool, min_period: int,
     r0 = _min_run(min_period, t_num, t_den, strict)
     exact = min_period == 1 and r0 > 0
     # per cell: cells p back on chains with r = 1, chains with r >= 2 as
-    # (getter, getter, cell p back), the placed cells of each backward ray
-    # as a slice; one pass per direction. A chain with r = 0 needs no table
+    # (getter, getter, cell p back), and for the confirm path alone the
+    # placed cells of each backward ray as a slice; one pass per direction.
+    # A chain with r = 0 needs no table
     lone: list[list[int]] = [[] for _ in range(total)]
     chained: list[list[tuple]] = [[] for _ in range(total)]
-    heads: list[list[slice]] = [[] for _ in range(total)]
+    heads: list[list[slice]] = [[] for _ in range(0 if exact else total)]
     for dr, dc in directions(max_direction):
         j = dr * side + dc
         count = [1] * total  # cells on the backward ray ending at each cell
@@ -292,7 +289,8 @@ def _grid_rule(t: Fraction, side: int, strict: bool, min_period: int,
             if cell < dr * side or not 0 <= cell % side - dc < side:
                 continue  # no predecessor: a ray of one cell
             n = count[cell] = count[cell - j] + 1
-            heads[cell].append(slice(cell - (n - 1) * j, cell, j))
+            if not exact:  # only the confirm path reads the rays
+                heads[cell].append(slice(cell - (n - 1) * j, cell, j))
             for p in range(min_period, _top_period(n, t_num, t_den, strict) + 1):
                 r = _min_run(p, t_num, t_den, strict)
                 back = cell - p * j

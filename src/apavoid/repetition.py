@@ -169,7 +169,7 @@ def _check_differences(differences: Differences) -> None:
                          f"not {differences!r}")
 
 
-def max_exponent(w: Word, *, size_cap: int = 8192) -> Fraction:
+def max_exponent(w: Word) -> Fraction:
     """Largest exponent over all nonempty factors of w.
 
     This is the maximum over shifts p of (r + p) / p, where r is the longest
@@ -182,15 +182,12 @@ def max_exponent(w: Word, *, size_cap: int = 8192) -> Fraction:
     largest period at which a run can still beat the best, which falls each
     time the best improves.
 
-    The work is quadratic in the worst case: ``four_letter_squarefree``
-    prefixes of 8,192, 16,384 and 32,768 letters take 0.03, 0.09 and 0.3 s
-    (2 CPUs, Python 3.11). Longer inputs than size_cap are rejected; pass a
-    bigger cap to override.
+    The work is quadratic in the worst case, with no cap on the length:
+    ``four_letter_squarefree`` prefixes of 8,192, 16,384 and 32,768 letters
+    take 0.03, 0.09 and 0.3 s (2 CPUs, Python 3.11).
     """
     if len(w) == 0:
         raise ValueError("the empty word has no exponent")
-    if len(w) > size_cap:
-        raise ValueError(f"word of length {len(w)} exceeds size_cap={size_cap}")
     n = len(w)
     planes = _planes(w.symbols)
     best = Fraction(1)
@@ -264,15 +261,17 @@ def find_repetition(
     least min_period. Returns None when every progression is clean.
 
     The word's bit planes are built once, and ``_earliest_run`` searches
-    each difference j on them as a whole; a difference where no repetition
-    can start is skipped. In a flagged difference the classes are walked in
-    start order, and the exact kernel runs on each from the earliest offset
-    where a repetition can start: the same search with stride 1 on the
-    class's own planes, or for j = 1, whose one class is the word, the
-    whole-word answer. The kernel reads no symbol before the offset, so its
-    report, shifted back by it, is the one the scan contract asks for. With
-    min_period > 1 an offset can be false; the kernel then finds nothing and
-    the walk moves on.
+    each difference j on them as a whole for the least position i where a
+    repetition can start; a difference with none (-1) is skipped. In a
+    flagged difference the classes are walked in start order, and the exact
+    kernel runs on each from the earliest offset where a repetition can
+    start. Position i is offset i // j of class i % j, and no repetition of
+    the difference starts before it, so that class starts there; every other
+    class runs the same search with stride 1 on its own planes. For j = 1
+    the one class is the word, which gets no planes of its own. The kernel
+    reads no symbol before the offset, so its report, shifted back by it, is
+    the one the scan contract asks for. With min_period > 1 an offset can be
+    false; the kernel then finds nothing and the walk moves on.
     """
     t = _checked_threshold(threshold, min_period)
     if differences is None:
@@ -283,16 +282,15 @@ def find_repetition(
     n = len(s)
     planes = _planes(s)
     for j in differences.candidates(n):
-        i = _earliest_run(planes, n, j, -(-n // j), t_num, t_den, strict, min_period)
-        if i < 0:
+        first = _earliest_run(planes, n, j, -(-n // j), t_num, t_den, strict, min_period)
+        if first < 0:
             continue
         for start in range(j):
             ap = s[start::j]
-            if j > 1:
-                m = len(ap)
-                i = _earliest_run(_planes(ap), m, 1, m, t_num, t_den, strict, min_period)
-                if i < 0:
-                    continue
+            i = first // j if start == first % j else _earliest_run(
+                _planes(ap), len(ap), 1, len(ap), t_num, t_den, strict, min_period)
+            if i < 0:
+                continue
             hit = _backend.first_repetition(ap[i:], t_num, t_den, strict, min_period)
             if hit is not None:
                 offset, period, run = hit

@@ -34,6 +34,23 @@ def _check_alphabet_size(k: int) -> None:
     _check_integer(k, "alphabet size", 1, MAX_ALPHABET)
 
 
+def _symbol_bytes(value, what: str, alphabet_size: int) -> bytes:
+    """bytes(value), refusing by value text and any symbol at or above
+    alphabet_size; a sequence is read once, so that an integer outside
+    0..255, which bytes() refuses without naming, can be named."""
+    if isinstance(value, str):
+        raise ValueError(f"{what}s must be bytes or integers, not the text {value!r}")
+    if not isinstance(value, (bytes, bytearray, memoryview, int)):
+        value = tuple(value)
+        bad = next((x for x in value if isinstance(x, int) and not 0 <= x < 256), None)
+        if bad is not None:
+            raise ValueError(f"{what} {bad} out of range for alphabet size {alphabet_size}")
+    s = bytes(value)
+    if s and max(s) >= alphabet_size:
+        raise ValueError(f"{what} {max(s)} out of range for alphabet size {alphabet_size}")
+    return s
+
+
 class InsufficientFoldingBits(ValueError):
     """Raised when a construction needs more folding instructions than given."""
 
@@ -46,11 +63,9 @@ class Word:
     alphabet_size: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", bytes(self.symbols))
         _check_alphabet_size(self.alphabet_size)
-        if self.symbols and max(self.symbols) >= self.alphabet_size:
-            raise ValueError(f"symbol {max(self.symbols)} out of range for alphabet size "
-                             f"{self.alphabet_size}")
+        object.__setattr__(self, "symbols",
+                           _symbol_bytes(self.symbols, "symbol", self.alphabet_size))
 
     @classmethod
     def from_text(cls, text: str, alphabet_size: int | None = None) -> "Word":

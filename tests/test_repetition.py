@@ -83,6 +83,7 @@ def test_max_exponent_matches_scan(sym):
 def test_max_exponent_goldens():
     assert max_exponent(paperfolding_prefix(ORDINARY, 512)) == 3
     assert max_exponent(four_letter_squarefree(ORDINARY, 4096)) == Fraction(2047, 1024)
+    assert max_exponent(four_letter_squarefree(ORDINARY, 16384)) == Fraction(8191, 4096)
     assert max_exponent(w("0")) == 1
 
 
@@ -105,10 +106,8 @@ def test_max_exponent_matches_kernel():
 
 
 def test_max_exponent_size_cap():
-    big = Word(bytes(9000), 2)
-    with pytest.raises(ValueError):
-        max_exponent(big)
-    assert max_exponent(big, size_cap=9000) == 9000
+    # no cap on the length: a word past the old default of 8,192 letters
+    assert max_exponent(Word(bytes(9000), 2)) == 9000
 
 
 # ---------------------------------------------------------------- progressions
@@ -483,6 +482,24 @@ def test_scan_builds_planes_once(monkeypatch):
         rep = find_repetition(Word(bytes(sym), 4), 2, differences=diffs)
         assert rep.to_line() == "diff=1 start=0 offset=500 period=3 exponent=2/1"
         assert built == [1024]
+    # a planted square on class 1 of difference 3: the whole-difference
+    # answer gives that class its offset, so only class 0 gets planes
+    sym = bytearray(four_letter_squarefree(ORDINARY, 1024).symbols)
+    sym[310:319:3] = sym[301:310:3]
+    built.clear()
+    rep = find_repetition(Word(bytes(sym), 4), 2, differences=Differences.exactly(3))
+    assert rep.to_line() == "diff=3 start=1 offset=100 period=3 exponent=2/1"
+    assert built == [1024, 342]
+    # with min_period 2, four equal letters on class 0 give that class a false
+    # offset; the square planted later on class 1 is found on its own planes
+    sym = bytearray(four_letter_squarefree(ORDINARY, 1024).symbols)
+    sym[300:312:3] = bytes([sym[300]]) * 4
+    sym[367:373:3] = sym[361:367:3]
+    built.clear()
+    rep = find_repetition(Word(bytes(sym), 4), 2, min_period=2,
+                          differences=Differences.exactly(3))
+    assert rep.to_line() == "diff=3 start=1 offset=120 period=2 exponent=2/1"
+    assert built == [1024, 341]
 
 
 # thresholds of the run search, with strict

@@ -261,6 +261,14 @@ def test_negative_lengths_are_refused_by_name():
     (lambda: verify_grid(Grid(1, 1, b"\0", 2), None),
      r"^threshold must be a rational number, not None$"),
     (lambda: grid_search(2, None, 2), r"^threshold must be a rational number, not None$"),
+    # symbols given as text or outside a byte, and factors that are no pair
+    (lambda: Word("0101", 2), r"^symbols must be bytes or integers, not the text '0101'$"),
+    (lambda: Grid(1, 2, "01", 2),
+     r"^cell symbols must be bytes or integers, not the text '01'$"),
+    (lambda: Word([0, 1, 300], 2), r"^symbol 300 out of range for alphabet size 2$"),
+    (lambda: Word([0, -1], 2), r"^symbol -1 out of range for alphabet size 2$"),
+    (lambda: Grid(2, 2, bytes(4), 4, factors=(2,)),
+     r"^factors must be a pair of sizes, not \(2,\)$"),
 ])
 def test_errors_name_the_bad_value(call, match):
     with pytest.raises(ValueError, match=match):
