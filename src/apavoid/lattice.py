@@ -18,47 +18,44 @@ witness chains, whose backward rays are progressions of the same strides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Iterator
 
 from ._backend import _min_run, _top_period
 from .repetition import (Differences, RepetitionReport, _checked_threshold,
                          _earliest_run, _planes, find_repetition)
 from .search import _backtrack, _closing_symbols
-from .words import (MAX_ALPHABET, Word, _CHARS, _check_alphabet_size, _check_integer,
-                    _symbol_bytes)
+from .words import (MAX_ALPHABET, Word, _CHARS, _check_alphabet_size, _check_integer, _set,
+                    _symbol_bytes, _Value)
 
 
-@dataclass(frozen=True, slots=True)
-class Grid:
+class Grid(_Value):
     """Row-major rectangle of symbols; factors records a product alphabet."""
 
-    rows: int
-    cols: int
-    cells: bytes
-    alphabet_size: int
-    factors: tuple[int, int] | None = None
+    __slots__ = ("rows", "cols", "cells", "alphabet_size", "factors")
 
-    def __post_init__(self) -> None:
-        _check_integer(self.rows, "row count")
-        _check_integer(self.cols, "column count")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("grid must have at least one row and one column, "
-                             f"not {self.rows}x{self.cols}")
-        _check_alphabet_size(self.alphabet_size)
-        object.__setattr__(self, "cells",
-                           _symbol_bytes(self.cells, "cell symbol", self.alphabet_size))
-        if len(self.cells) != self.rows * self.cols:
-            raise ValueError(f"{len(self.cells)} cells do not fill the declared "
-                             f"{self.rows}x{self.cols} shape")
-        if self.factors is not None:
-            if len(self.factors) != 2:
-                raise ValueError(f"factors must be a pair of sizes, not {self.factors!r}")
-            if self.factors[0] * self.factors[1] != self.alphabet_size:
+    def __init__(self, rows: int, cols: int, cells: bytes, alphabet_size: int,
+                 factors: tuple[int, int] | None = None) -> None:
+        _check_integer(rows, "row count")
+        _check_integer(cols, "column count")
+        if rows < 1 or cols < 1:
+            raise ValueError(f"grid must have at least one row and one column, not {rows}x{cols}")
+        _check_alphabet_size(alphabet_size)
+        cells = _symbol_bytes(cells, "cell symbol", alphabet_size)
+        if len(cells) != rows * cols:
+            raise ValueError(f"{len(cells)} cells do not fill the declared {rows}x{cols} shape")
+        if factors is not None:
+            if len(factors) != 2:
+                raise ValueError(f"factors must be a pair of sizes, not {factors!r}")
+            if factors[0] * factors[1] != alphabet_size:
                 raise ValueError("factors do not multiply to the alphabet size")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "cells", cells)
+        _set(self, "alphabet_size", alphabet_size)
+        _set(self, "factors", factors)
 
     def cell(self, row: int, col: int) -> int:
         if not (0 <= row < self.rows and 0 <= col < self.cols):
@@ -100,26 +97,28 @@ class Grid:
         return cls(rows, cols, bytes(cells), alphabet)
 
 
-@dataclass(frozen=True, slots=True)
-class LineSpec:
+class LineSpec(_Value):
     """A maximal straight run of cells: start, primitive step, cell count."""
 
-    row: int
-    col: int
-    drow: int
-    dcol: int
-    count: int
+    __slots__ = ("row", "col", "drow", "dcol", "count")
 
-    def __post_init__(self) -> None:
-        for name in ("row", "col", "drow", "dcol"):
-            _check_integer(getattr(self, name), f"line {name}")
-        _check_integer(self.count, "line cell count", 1)
-        if self.row < 0 or self.col < 0:
+    def __init__(self, row: int, col: int, drow: int, dcol: int, count: int) -> None:
+        _check_integer(row, "line row")
+        _check_integer(col, "line col")
+        _check_integer(drow, "line drow")
+        _check_integer(dcol, "line dcol")
+        _check_integer(count, "line cell count", 1)
+        if row < 0 or col < 0:
             raise ValueError("line start must be inside the grid")
-        if self.drow == 0 and self.dcol == 0:
+        if drow == 0 and dcol == 0:
             raise ValueError("line direction cannot be zero")
-        if math.gcd(abs(self.drow), abs(self.dcol)) != 1:
+        if math.gcd(abs(drow), abs(dcol)) != 1:
             raise ValueError("line direction must be primitive")
+        _set(self, "row", row)
+        _set(self, "col", col)
+        _set(self, "drow", drow)
+        _set(self, "dcol", dcol)
+        _set(self, "count", count)
 
 
 def product_grid(u: Word, v: Word) -> Grid:
@@ -239,12 +238,17 @@ def verify_grid(
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class GridSearchOutcome:
-    status: str  # "satisfiable", "infeasible", or "budget_exhausted"
-    side: int
-    nodes: int
-    witness: Grid | None = None
+class GridSearchOutcome(_Value):
+    """What ``grid_search`` found: status "satisfiable", with a witness grid,
+    "infeasible" or "budget_exhausted"."""
+
+    __slots__ = ("status", "side", "nodes", "witness")
+
+    def __init__(self, status: str, side: int, nodes: int, witness: Grid | None = None) -> None:
+        _set(self, "status", status)
+        _set(self, "side", side)
+        _set(self, "nodes", nodes)
+        _set(self, "witness", witness)
 
 
 def _grid_rule(t: Fraction, side: int, strict: bool, min_period: int,

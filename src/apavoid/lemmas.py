@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from collections.abc import Iterable
 
 from .repetition import _mismatch, _planes, _run_start
 from .words import FoldingSequence, Word, _check_integer, paperfolding_prefix

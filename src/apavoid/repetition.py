@@ -16,35 +16,33 @@ direction of a grid, and places each flagged class's first offset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from . import _backend
 from ._backend import _min_run, _top_period
-from .words import Word, _check_integer
+from .words import Word, _check_integer, _set, _Value
 
 
-@dataclass(frozen=True, slots=True)
-class Progression:
+class Progression(_Value):
     """Positions start, start+difference, ..., count terms in all."""
 
-    start: int
-    difference: int
-    count: int
+    __slots__ = ("start", "difference", "count")
 
-    def __post_init__(self) -> None:
-        _check_integer(self.start, "start", 0)
-        _check_integer(self.difference, "difference", 1)
-        _check_integer(self.count, "count", 0)
+    def __init__(self, start: int, difference: int, count: int) -> None:
+        _check_integer(start, "start", 0)
+        _check_integer(difference, "difference", 1)
+        _check_integer(count, "count", 0)
+        _set(self, "start", start)
+        _set(self, "difference", difference)
+        _set(self, "count", count)
 
     def positions(self) -> range:
         stop = self.start + self.count * self.difference
         return range(self.start, stop, self.difference)
 
 
-@dataclass(frozen=True, slots=True)
-class RepetitionReport:
+class RepetitionReport(_Value):
     """A found repetition: where it lives and how strong it is.
 
     ``offset`` indexes into the extracted subsequence, not the host word.
@@ -52,10 +50,14 @@ class RepetitionReport:
     run = exponent * period.
     """
 
-    progression: Progression
-    offset: int
-    period: int
-    exponent: Fraction
+    __slots__ = ("progression", "offset", "period", "exponent")
+
+    def __init__(self, progression: Progression, offset: int, period: int,
+                 exponent: Fraction) -> None:
+        _set(self, "progression", progression)
+        _set(self, "offset", offset)
+        _set(self, "period", period)
+        _set(self, "exponent", exponent)
 
     def to_line(self) -> str:
         return (
@@ -65,26 +67,26 @@ class RepetitionReport:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Differences:
+class Differences(_Value):
     """Which differences an AP scan visits: all of them, odd only, or one.
 
     ``value`` is the inclusive cap for the first two kinds (None meaning
     the word decides, cap |w|-1) and the single difference for "exact".
     """
 
-    kind: str
-    value: int | None = None
+    __slots__ = ("kind", "value")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("all", "odd", "exact"):
-            raise ValueError(f"unknown difference selector {self.kind!r}")
-        if self.value is not None and not isinstance(self.value, int):
-            raise ValueError(f"the {self.kind} selector needs an integer, not {self.value!r}")
-        if self.kind == "exact" and (self.value is None or self.value < 1):
-            raise ValueError(f"exact selector needs a difference of at least 1, not {self.value}")
-        if self.kind != "exact" and self.value is not None and self.value < 1:
-            raise ValueError(f"difference cap must be at least 1, not {self.value}")
+    def __init__(self, kind: str, value: int | None = None) -> None:
+        if kind not in ("all", "odd", "exact"):
+            raise ValueError(f"unknown difference selector {kind!r}")
+        if value is not None and not isinstance(value, int):
+            raise ValueError(f"the {kind} selector needs an integer, not {value!r}")
+        if kind == "exact" and (value is None or value < 1):
+            raise ValueError(f"exact selector needs a difference of at least 1, not {value}")
+        if kind != "exact" and value is not None and value < 1:
+            raise ValueError(f"difference cap must be at least 1, not {value}")
+        _set(self, "kind", kind)
+        _set(self, "value", value)
 
     @classmethod
     def all(cls, cap: int | None = None) -> "Differences":

@@ -29,55 +29,66 @@ memory over its bound, since the harness keeps every result until its gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable
 
 from . import _backend
 from ._backend import _min_run, _top_period
 from .repetition import Differences, _check_differences, _checked_threshold, find_repetition
-from .words import MAX_ALPHABET, Word, _check_integer
+from .words import MAX_ALPHABET, Word, _check_integer, _set, _Value
 
 
-@dataclass(frozen=True, slots=True)
-class AvoidanceProblem:
+class AvoidanceProblem(_Value):
     """What to avoid: exponent threshold over selected differences."""
 
-    alphabet_size: int
-    threshold: Fraction
-    differences: Differences
-    strict: bool = False
-    min_period: int = 1
-    length_cap: int | None = None
+    __slots__ = ("alphabet_size", "threshold", "differences", "strict", "min_period",
+                 "length_cap")
 
-    def __post_init__(self) -> None:
-        _check_integer(self.alphabet_size, "alphabet size", 2, MAX_ALPHABET)
-        object.__setattr__(self, "threshold",
-                           _checked_threshold(self.threshold, self.min_period))
-        _check_differences(self.differences)
-        if self.length_cap is not None:
-            _check_integer(self.length_cap, "length cap", 1)
+    def __init__(self, alphabet_size: int, threshold: Fraction | int | str,
+                 differences: Differences, strict: bool = False, min_period: int = 1,
+                 length_cap: int | None = None) -> None:
+        _check_integer(alphabet_size, "alphabet size", 2, MAX_ALPHABET)
+        threshold = _checked_threshold(threshold, min_period)
+        _check_differences(differences)
+        if length_cap is not None:
+            _check_integer(length_cap, "length cap", 1)
+        _set(self, "alphabet_size", alphabet_size)
+        _set(self, "threshold", threshold)
+        _set(self, "differences", differences)
+        _set(self, "strict", strict)
+        _set(self, "min_period", min_period)
+        _set(self, "length_cap", length_cap)
 
 
-@dataclass(frozen=True, slots=True)
-class SearchResult:
+class SearchResult(_Value):
     """Exact extremal answer, unless capped or out of budget (then
     maximal_words is empty)."""
 
-    max_length: int
-    maximal_words: tuple[Word, ...]
-    nodes_visited: int
-    canonicalized: bool
-    capped: bool = False
-    budget_exhausted: bool = False
+    __slots__ = ("max_length", "maximal_words", "nodes_visited", "canonicalized", "capped",
+                 "budget_exhausted")
+
+    def __init__(self, max_length: int, maximal_words: tuple[Word, ...], nodes_visited: int,
+                 canonicalized: bool, capped: bool = False,
+                 budget_exhausted: bool = False) -> None:
+        _set(self, "max_length", max_length)
+        _set(self, "maximal_words", maximal_words)
+        _set(self, "nodes_visited", nodes_visited)
+        _set(self, "canonicalized", canonicalized)
+        _set(self, "capped", capped)
+        _set(self, "budget_exhausted", budget_exhausted)
 
 
-@dataclass(frozen=True, slots=True)
-class UnavoidabilityVerdict:
-    status: str  # "finite" or "budget_exhausted"
-    max_length: int | None
-    nodes: int
+class UnavoidabilityVerdict(_Value):
+    """What ``confirm_unavoidable`` found: status "finite", with the longest
+    clean length, or "budget_exhausted", with max_length None."""
+
+    __slots__ = ("status", "max_length", "nodes")
+
+    def __init__(self, status: str, max_length: int | None, nodes: int) -> None:
+        _set(self, "status", status)
+        _set(self, "max_length", max_length)
+        _set(self, "nodes", nodes)
 
 
 def _backtrack(alphabet_size: int, forbidden: Callable[[bytearray, int], set[int]],

@@ -9,8 +9,8 @@ paperfolding word and any perturbed variant share one code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from collections.abc import Iterator, Mapping
+from operator import attrgetter
 
 MAX_ALPHABET = 16
 _CHARS = "0123456789abcdef"
@@ -35,16 +35,22 @@ def _check_alphabet_size(k: int) -> None:
 
 
 def _symbol_bytes(value, what: str, alphabet_size: int) -> bytes:
-    """bytes(value), refusing by value text and any symbol at or above
-    alphabet_size; a sequence is read once, so that an integer outside
-    0..255, which bytes() refuses without naming, can be named."""
+    """bytes(value), refusing by value text, a bare integer (which bytes()
+    reads as a count) and any symbol at or above alphabet_size; a sequence
+    is read once, so that a symbol bytes() refuses without naming, one that
+    is no integer or is outside 0..255, can be named."""
     if isinstance(value, str):
         raise ValueError(f"{what}s must be bytes or integers, not the text {value!r}")
-    if not isinstance(value, (bytes, bytearray, memoryview, int)):
+    if isinstance(value, int):
+        raise ValueError(f"{what}s must be bytes or a sequence of integers, "
+                         f"not the integer {value!r}")
+    if not isinstance(value, (bytes, bytearray, memoryview)):
         value = tuple(value)
-        bad = next((x for x in value if isinstance(x, int) and not 0 <= x < 256), None)
-        if bad is not None:
-            raise ValueError(f"{what} {bad} out of range for alphabet size {alphabet_size}")
+        for i, x in enumerate(value):
+            if not isinstance(x, int):
+                raise ValueError(f"{what} {x!r} at index {i} must be an integer")
+            if not 0 <= x < 256:
+                raise ValueError(f"{what} {x} out of range for alphabet size {alphabet_size}")
     s = bytes(value)
     if s and max(s) >= alphabet_size:
         raise ValueError(f"{what} {max(s)} out of range for alphabet size {alphabet_size}")
@@ -55,17 +61,56 @@ class InsufficientFoldingBits(ValueError):
     """Raised when a construction needs more folding instructions than given."""
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+_set = object.__setattr__  # the one way to fill a field of a _Value
+
+
+class _Value:
+    """Base of the package's value types: fields are the class's ``__slots__``,
+    filled by its ``__init__`` through ``_set`` and fixed from then on.
+
+    Equality, hash, repr, ``__match_args__`` and pickling read the fields in
+    slot order, as a frozen dataclass's would. Pickling and copying go
+    through ``__reduce__``, so a copy is built by ``__init__`` and checked
+    again.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+        cls._fields = attrgetter(*cls.__slots__)  # a tuple, given two or more fields
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields(self)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Word(_Value):
     """An immutable word; symbols are ints in ``range(alphabet_size)``."""
 
-    symbols: bytes
-    alphabet_size: int
+    __slots__ = ("symbols", "alphabet_size")
 
-    def __post_init__(self) -> None:
-        _check_alphabet_size(self.alphabet_size)
-        object.__setattr__(self, "symbols",
-                           _symbol_bytes(self.symbols, "symbol", self.alphabet_size))
+    def __init__(self, symbols: bytes, alphabet_size: int) -> None:
+        _check_alphabet_size(alphabet_size)
+        _set(self, "symbols", _symbol_bytes(symbols, "symbol", alphabet_size))
+        _set(self, "alphabet_size", alphabet_size)
 
     @classmethod
     def from_text(cls, text: str, alphabet_size: int | None = None) -> "Word":
@@ -114,8 +159,7 @@ def reverse_word(w: Word) -> Word:
     return Word(w.symbols[::-1], w.alphabet_size)
 
 
-@dataclass(frozen=True, slots=True)
-class FoldingSequence:
+class FoldingSequence(_Value):
     """A stream of folding instructions, one bit per fold.
 
     ``ordinary()`` is the all-zero stream of unbounded length. A parsed
@@ -123,14 +167,15 @@ class FoldingSequence:
     constructions that would read past the end.
     """
 
-    bits: tuple[int, ...] = ()
-    infinite_zeros: bool = False
+    __slots__ = ("bits", "infinite_zeros")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", tuple(self.bits))
-        for b in self.bits:
+    def __init__(self, bits: tuple[int, ...] = (), infinite_zeros: bool = False) -> None:
+        bits = tuple(bits)
+        for b in bits:
             if b not in (0, 1):
                 raise ValueError(f"folding instructions must be 0 or 1, not {b!r}")
+        _set(self, "bits", bits)
+        _set(self, "infinite_zeros", infinite_zeros)
 
     @classmethod
     def ordinary(cls) -> "FoldingSequence":
@@ -176,30 +221,34 @@ def paperfolding_prefix(folds: FoldingSequence, n: int) -> Word:
     return Word(s[:n], 2)
 
 
-@dataclass
-class Morphism:
+class Morphism(_Value):
     """A substitution sending each symbol to a fixed image word.
 
     ``alphabet_size`` bounds the output symbols; the domain is just the
     key set, so codings between different alphabets are morphisms too.
+    Unlike the other value types its fields can be reassigned, so it has
+    no hash.
     """
 
-    images: Mapping[int, tuple[int, ...]]
-    alphabet_size: int
+    __slots__ = ("images", "alphabet_size")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        self.images = {s: tuple(img) for s, img in self.images.items()}
-        if not self.images:
+    def __init__(self, images: Mapping[int, tuple[int, ...]], alphabet_size: int) -> None:
+        self.images = images = {s: tuple(img) for s, img in images.items()}
+        self.alphabet_size = alphabet_size
+        if not images:
             raise ValueError("a morphism needs at least one image")
-        _check_alphabet_size(self.alphabet_size)
-        for s, img in self.images.items():
+        _check_alphabet_size(alphabet_size)
+        for s, img in images.items():
             if not img:
                 raise ValueError(f"empty image for symbol {s}")
             for v in img:
                 if not isinstance(v, int):
                     raise ValueError(f"the image of {s} holds {v!r}, not an integer symbol")
-                if not 0 <= v < self.alphabet_size:
-                    raise ValueError(f"alphabet size {self.alphabet_size} has no symbol {v}, "
+                if not 0 <= v < alphabet_size:
+                    raise ValueError(f"alphabet size {alphabet_size} has no symbol {v}, "
                                      f"so the image of {s} leaves the alphabet")
 
 

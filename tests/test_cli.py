@@ -403,3 +403,13 @@ def test_module_entry_point(child_env):
                           input="2131243121342431\n", capture_output=True, text=True,
                           env=child_env)
     assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
+
+def test_cli_import_loads_no_dataclasses_or_typing(child_env):
+    # dataclasses, with the inspect, ast, dis and tokenize it pulls in, was half
+    # of every command's import; -S keeps a site .pth file from loading typing first
+    heavy = ("dataclasses", "inspect", "typing")
+    proc = subprocess.run([sys.executable, "-S", "-c",
+                           f"import apavoid.cli, sys; print(*set({heavy!r}) & set(sys.modules))"],
+                          capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0 and proc.stdout == "\n", proc.stdout + proc.stderr

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -267,6 +269,12 @@ def test_negative_lengths_are_refused_by_name():
      r"^cell symbols must be bytes or integers, not the text '01'$"),
     (lambda: Word([0, 1, 300], 2), r"^symbol 300 out of range for alphabet size 2$"),
     (lambda: Word([0, -1], 2), r"^symbol -1 out of range for alphabet size 2$"),
+    # a bare integer, which bytes() would read as a count, and a symbol that is no integer
+    (lambda: Word(5, 2), r"^symbols must be bytes or a sequence of integers, not the integer 5$"),
+    (lambda: Grid(1, 3, 3, 2),
+     r"^cell symbols must be bytes or a sequence of integers, not the integer 3$"),
+    (lambda: Word([0, 1.5], 2), r"^symbol 1\.5 at index 1 must be an integer$"),
+    (lambda: Grid(1, 2, [0, 1.5], 2), r"^cell symbol 1\.5 at index 1 must be an integer$"),
     (lambda: Grid(2, 2, bytes(4), 4, factors=(2,)),
      r"^factors must be a pair of sizes, not \(2,\)$"),
 ])
@@ -393,14 +401,66 @@ def test_present_roundtrip(n):
     assert len(text) == n and set(text) <= set("1234")
 
 
-def test_value_types_keep_no_instance_dict():
-    # searches hold many of these; with slots a Word object takes 48 bytes, not 89
-    values = (
-        Word(b"\0\1", 2), FoldingSequence.ordinary(), Differences.odd(), Progression(0, 1, 2),
-        RepetitionReport(Progression(0, 1, 2), 0, 1, Fraction(2)),
-        AvoidanceProblem(2, 2, Differences.odd()), SearchResult(2, (), 6, False),
-        UnavoidabilityVerdict("finite", 2, 10), Grid(1, 1, b"\0", 1), LineSpec(0, 0, 0, 1, 2),
-        GridSearchOutcome("infeasible", 2, 48),
+def _value_types():
+    """One value of each public value type, built afresh on each call, with
+    its field names in order."""
+    return (
+        (Word(b"\0\1", 2), ("symbols", "alphabet_size")),
+        (FoldingSequence.ordinary(), ("bits", "infinite_zeros")),
+        (Differences.odd(), ("kind", "value")),
+        (Progression(1, 3, 4), ("start", "difference", "count")),
+        (RepetitionReport(Progression(0, 1, 2), 0, 1, Fraction(2)),
+         ("progression", "offset", "period", "exponent")),
+        (AvoidanceProblem(2, 2, Differences.odd()),
+         ("alphabet_size", "threshold", "differences", "strict", "min_period", "length_cap")),
+        (SearchResult(2, (Word(b"\0\1", 2),), 6, False),
+         ("max_length", "maximal_words", "nodes_visited", "canonicalized", "capped",
+          "budget_exhausted")),
+        (UnavoidabilityVerdict("finite", 2, 10), ("status", "max_length", "nodes")),
+        (Grid(1, 2, b"\0\1", 4, factors=(2, 2)),
+         ("rows", "cols", "cells", "alphabet_size", "factors")),
+        (LineSpec(0, 0, 0, 1, 2), ("row", "col", "drow", "dcol", "count")),
+        (GridSearchOutcome("satisfiable", 1, 1, Grid(1, 1, b"\0", 1)),
+         ("status", "side", "nodes", "witness")),
+        (Morphism({0: (0, 1), 1: (1,)}, 2), ("images", "alphabet_size")),
     )
-    for value in values:
-        assert not hasattr(value, "__dict__"), type(value).__name__
+
+
+def test_value_types_keep_no_instance_dict():
+    # searches hold many of these; with slots a Word object takes 48 bytes, not 89.
+    # The types are plain classes on one slotted base, so this also pins what
+    # frozen dataclasses gave them, field by field in order
+    for (value, fields), (same, _) in zip(_value_types(), _value_types()):
+        cls = type(value)
+        name = cls.__name__
+        assert not hasattr(value, "__dict__"), name
+        assert value is not same and value == same and not value != same, name
+        assert cls.__match_args__ == fields, name
+        match value:
+            case cls(first, second):
+                assert (first, second) == (getattr(value, fields[0]), getattr(value, fields[1]))
+            case _:
+                pytest.fail(f"{name} matches no positional pattern")
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(copied) is cls and copied == value, name
+        if cls is Morphism:  # mutable, as a plain dataclass was, so unhashable
+            assert cls.__hash__ is None
+            same.alphabet_size = 3
+            assert value != same
+            continue
+        assert hash(value) == hash(same), name
+        for field in fields:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+                setattr(value, field, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+                delattr(value, field)
+        assert value == same, name
+    # equal fields in two types are still two values
+    assert Progression(1, 3, 4) != UnavoidabilityVerdict(1, 3, 4)
+    values = [value for value, _ in _value_types()]
+    assert all((a == b) == (i == j) for i, a in enumerate(values) for j, b in enumerate(values))
+    assert repr(Progression(start=1, difference=3, count=4)) == \
+        "Progression(start=1, difference=3, count=4)"
+    assert repr(Differences(kind="odd", value=None)) == "Differences(kind='odd', value=None)"
+    assert repr(Word(symbols=b"\0\1", alphabet_size=2)) == \
+        "Word(symbols=b'\\x00\\x01', alphabet_size=2)"
