@@ -11,12 +11,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
-from . import lattice, words
-from .repetition import Differences, _checked_threshold, find_repetition
-from .search import AvoidanceProblem, backtrack_longest
-from .words import FoldingSequence, Word, _CHARS
+# Each command imports the modules it runs inside its own function, so that
+# a command compiles only those: gen loads words alone, and fractions is
+# loaded only where a threshold is parsed.
 
 
 class UsageError(ValueError):
@@ -32,15 +30,21 @@ SEARCH_NODE_BUDGET = 10**5
 
 def parse_threshold(text: str) -> tuple[Fraction, bool]:
     """Exact rational with optional trailing + for a strict comparison."""
+    from fractions import Fraction
+
+    from .repetition import _checked_threshold
+
     strict = text.endswith("+")
     try:
         value = Fraction(text[:-1] if strict else text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse --threshold {text!r}; expected forms like 2, 7/4, 2+")
-    return _checked_threshold(value, 1), strict
+    return _checked_threshold(value, 1, strict), strict
 
 
 def parse_diffs(text: str) -> Differences:
+    from .repetition import Differences
+
     if text == "odd":
         return Differences.odd()
     if text == "all":
@@ -54,21 +58,21 @@ def parse_diffs(text: str) -> Differences:
     return Differences.exactly(j)
 
 
-# word name -> (needs folds, builder)
+# word name -> (needs folds, its builder in words)
 _GENERATORS = {
-    "paperfolding": (True, words.paperfolding_prefix),
-    "v": (True, words.four_letter_squarefree),
-    "overlap3": (True, words.ternary_overlapfree),
-    "bigsq2": (True, words.binary_large_squarefree),
-    "carpi": (False, None),
+    "paperfolding": (True, "paperfolding_prefix"),
+    "v": (True, "four_letter_squarefree"),
+    "overlap3": (True, "ternary_overlapfree"),
+    "bigsq2": (True, "binary_large_squarefree"),
+    "carpi": (False, "carpi_word"),
 }
 
-# construction -> (component builder, default threshold text, its own verify_grid options)
+# construction -> (component builder in words, default threshold text, its own verify_grid options)
 _CONSTRUCTIONS = {
-    "product16": (words.four_letter_squarefree, "2", {}),
-    "paperfold4": (words.paperfolding_prefix, "3+", {}),
-    "overlap9": (words.ternary_overlapfree, "2+", {}),
-    "bigsq4": (words.binary_large_squarefree, "2", {"min_period": 3}),
+    "product16": ("four_letter_squarefree", "2", {}),
+    "paperfold4": ("paperfolding_prefix", "3+", {}),
+    "overlap9": ("ternary_overlapfree", "2+", {}),
+    "bigsq4": ("binary_large_squarefree", "2", {"min_period": 3}),
 }
 
 # grid mode -> each flag the mode would drop, with the modes it belongs to
@@ -85,6 +89,8 @@ _GRID_DROPPED = {
 
 
 def _parse_folds(text: str) -> FoldingSequence:
+    from .words import FoldingSequence
+
     try:
         return FoldingSequence.parse(text)
     except ValueError as exc:
@@ -92,13 +98,16 @@ def _parse_folds(text: str) -> FoldingSequence:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    needs_folds, builder = _GENERATORS[args.word]
+    from . import words
+
+    needs_folds, name = _GENERATORS[args.word]
+    builder = getattr(words, name)
     if args.length < 0:
         raise UsageError(f"--length must be nonnegative, not {args.length}")
     if not needs_folds:
         if args.folds is not None:
             raise UsageError("the carpi word is fixed; --folds does not apply")
-        w = words.carpi_word(args.length)
+        w = builder(args.length)
     else:
         if args.folds is None:
             raise UsageError(f"--folds is required for {args.word}")
@@ -112,6 +121,8 @@ def _read_word(source: str) -> Word:
 
     Errors give the bad byte's position in the input as read.
     """
+    from .words import Word, _CHARS
+
     name = "stdin" if source == "-" else source
     try:
         if source == "-":
@@ -135,6 +146,8 @@ def _read_word(source: str) -> Word:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .repetition import find_repetition
+
     w = _read_word(args.input)
     threshold, strict = parse_threshold(args.threshold)
     report = find_repetition(w, threshold, strict=strict, min_period=args.min_period,
@@ -147,6 +160,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from .search import AvoidanceProblem, backtrack_longest
+
     threshold, strict = parse_threshold(args.threshold)
     problem = AvoidanceProblem(args.alphabet, threshold, parse_diffs(args.diffs), strict=strict,
                                min_period=args.min_period, length_cap=args.length_cap)
@@ -174,6 +189,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
+    from . import lattice, words
+
     if args.size < 1:
         raise UsageError(f"--size must be at least 1, not {args.size}")
     if args.search_alphabet is not None:
@@ -190,8 +207,9 @@ def _cmd_grid(args: argparse.Namespace) -> int:
                if value is not None}
 
     if args.construction is not None:
-        builder, thr_text, own = _CONSTRUCTIONS[args.construction]
+        name, thr_text, own = _CONSTRUCTIONS[args.construction]
         threshold, strict = parse_threshold(thr_text if args.threshold is None else args.threshold)
+        builder = getattr(words, name)
         component = builder(_parse_folds("ordinary" if args.folds is None else args.folds),
                             args.size)
         grid = lattice.product_grid(component, component)

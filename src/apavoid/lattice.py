@@ -216,7 +216,7 @@ def verify_grid(
     its lines scanned in that order at difference 1, so the first report is
     the one a line-by-line scan gives.
     """
-    t = _checked_threshold(threshold, min_period)
+    t = _checked_threshold(threshold, min_period, strict)
     rows, cols = g.rows, g.cols
     diff1 = Differences.exactly(1)
     planes = _planes(g.cells)
@@ -348,7 +348,7 @@ def grid_search(
     """
     _check_alphabet_size(alphabet_size)
     _check_integer(side, "region side", 1)
-    t = _checked_threshold(threshold, min_period)
+    t = _checked_threshold(threshold, min_period, strict)
     if max_direction is None:
         max_direction = max(1, side - 1)
     rule = _grid_rule(t, side, strict, min_period, max_direction)

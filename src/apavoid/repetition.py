@@ -153,8 +153,12 @@ def _run_start(e: int, size: int, k: int, stride: int = 1) -> int:
         covered += step
 
 
-def _checked_threshold(threshold: Fraction | int | str, min_period: int) -> Fraction:
-    """The threshold as a Fraction, once it and min_period are known to be at least 1."""
+def _checked_threshold(threshold: Fraction | int | str, min_period: int,
+                       strict: bool) -> Fraction:
+    """The threshold as a Fraction, once it and min_period are known to be at least 1
+    and strict to be a bool."""
+    if not isinstance(strict, bool):  # any other value would be read for its truthiness
+        raise ValueError(f"strict must be True or False, not {strict!r}")
     try:
         t = threshold if isinstance(threshold, Fraction) else Fraction(threshold)
     except (TypeError, ValueError, ZeroDivisionError):
@@ -275,7 +279,7 @@ def find_repetition(
     the one the scan contract asks for. With min_period > 1 an offset can be
     false; the kernel then finds nothing and the walk moves on.
     """
-    t = _checked_threshold(threshold, min_period)
+    t = _checked_threshold(threshold, min_period, strict)
     if differences is None:
         differences = Differences.all()
     _check_differences(differences)

@@ -49,7 +49,7 @@ class AvoidanceProblem(_Value):
                  differences: Differences, strict: bool = False, min_period: int = 1,
                  length_cap: int | None = None) -> None:
         _check_integer(alphabet_size, "alphabet size", 2, MAX_ALPHABET)
-        threshold = _checked_threshold(threshold, min_period)
+        threshold = _checked_threshold(threshold, min_period, strict)
         _check_differences(differences)
         if length_cap is not None:
             _check_integer(length_cap, "length cap", 1)

@@ -170,9 +170,14 @@ class FoldingSequence(_Value):
     __slots__ = ("bits", "infinite_zeros")
 
     def __init__(self, bits: tuple[int, ...] = (), infinite_zeros: bool = False) -> None:
-        bits = tuple(bits)
+        try:
+            bits = tuple(bits)
+        except TypeError:
+            raise ValueError(f"folding instructions must be a sequence of 0s and 1s, "
+                             f"not {bits!r}") from None
         for b in bits:
-            if b not in (0, 1):
+            # 1.0 == 1, but a float instruction cannot be a byte of the word
+            if not isinstance(b, int) or b not in (0, 1):
                 raise ValueError(f"folding instructions must be 0 or 1, not {b!r}")
         _set(self, "bits", bits)
         _set(self, "infinite_zeros", infinite_zeros)

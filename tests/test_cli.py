@@ -413,3 +413,47 @@ def test_cli_import_loads_no_dataclasses_or_typing(child_env):
                            f"import apavoid.cli, sys; print(*set({heavy!r}) & set(sys.modules))"],
                           capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0 and proc.stdout == "\n", proc.stdout + proc.stderr
+
+
+# the apavoid modules a command may load besides those of a bare import: each
+# command compiles only the modules it runs, and none of them loads lemmas
+_GEN = {"apavoid", "apavoid.cli", "apavoid.words"}
+_CHECK = _GEN | {"apavoid.repetition", "apavoid._backend"}
+_COMMAND_MODULES = [
+    (None, {"apavoid"}),
+    (["gen", "--word", "v", "--folds", "ordinary", "--length", "16"], _GEN),
+    (["check", "--input", "-", "--threshold", "2", "--diffs", "odd"], _CHECK),
+    (["search", "--alphabet", "2", "--threshold", "2", "--diffs", "1"],
+     _CHECK | {"apavoid.search"}),
+    (["grid", "--construction", "product16", "--size", "4", "--verify"],
+     _CHECK | {"apavoid.search", "apavoid.lattice"}),
+]
+
+_LOADED_BY = """\
+import os, sys
+argv = {argv!r}
+if argv is None:
+    import apavoid
+else:
+    import apavoid.cli
+    out, sys.stdout = sys.stdout, open(os.devnull, "w")
+    code = apavoid.cli.main(argv)
+    sys.stdout = out
+    assert code == 0, code
+print(*sorted(m for m in sys.modules if m == "apavoid" or m.startswith("apavoid.")))
+print("fractions" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, expected", _COMMAND_MODULES,
+                         ids=["import"] + [argv[0] for argv, _ in _COMMAND_MODULES[1:]])
+def test_each_command_loads_only_its_modules(argv, expected, child_env):
+    # -S keeps site's .pth files from importing anything before the package
+    proc = subprocess.run([sys.executable, "-S", "-c", _LOADED_BY.format(argv=argv)],
+                          input="2131243121342431\n", capture_output=True, text=True,
+                          env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    loaded, fractions = proc.stdout.splitlines()
+    assert set(loaded.split()) == expected
+    # only a command that parses a threshold needs exact rationals
+    assert fractions == str(argv is not None and argv[0] != "gen")

@@ -277,6 +277,20 @@ def test_negative_lengths_are_refused_by_name():
     (lambda: Grid(1, 2, [0, 1.5], 2), r"^cell symbol 1\.5 at index 1 must be an integer$"),
     (lambda: Grid(2, 2, bytes(4), 4, factors=(2,)),
      r"^factors must be a pair of sizes, not \(2,\)$"),
+    # folding instructions that equal 0 or 1 without being integers, and no sequence at all
+    (lambda: FoldingSequence((0, 1.0)), r"^folding instructions must be 0 or 1, not 1\.0$"),
+    (lambda: FoldingSequence((True, 0.0)), r"^folding instructions must be 0 or 1, not 0\.0$"),
+    (lambda: FoldingSequence(5), r"^folding instructions must be a sequence of 0s and 1s, not 5$"),
+    # a strict flag that is no bool, which would be read for its truthiness
+    (lambda: grid_search(3, 2, 2, strict="no"), r"^strict must be True or False, not 'no'$"),
+    (lambda: find_repetition(Word(b"\0\0", 2), 2, strict=[0]),
+     r"^strict must be True or False, not \[0\]$"),
+    (lambda: verify_grid(Grid(1, 1, b"\0", 2), 2, strict=1),
+     r"^strict must be True or False, not 1$"),
+    (lambda: AvoidanceProblem(2, 3, Differences.odd(), strict=None),
+     r"^strict must be True or False, not None$"),
+    (lambda: confirm_unavoidable(2, 3, Differences.odd(), strict="yes"),
+     r"^strict must be True or False, not 'yes'$"),
 ])
 def test_errors_name_the_bad_value(call, match):
     with pytest.raises(ValueError, match=match):
