@@ -430,15 +430,14 @@ _COMMAND_MODULES = [
 ]
 
 _LOADED_BY = """\
-import os, sys
+import contextlib, os, sys
 argv = {argv!r}
 if argv is None:
     import apavoid
 else:
     import apavoid.cli
-    out, sys.stdout = sys.stdout, open(os.devnull, "w")
-    code = apavoid.cli.main(argv)
-    sys.stdout = out
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        code = apavoid.cli.main(argv)
     assert code == 0, code
 print(*sorted(m for m in sys.modules if m == "apavoid" or m.startswith("apavoid.")))
 print("fractions" in sys.modules)
