@@ -25,7 +25,7 @@ from operator import itemgetter
 
 from ._backend import _min_run, _top_period
 from .repetition import (Differences, RepetitionReport, _checked_threshold,
-                         _earliest_run, _planes, find_repetition)
+                         _earliest_run, _planes, _run_lengths, find_repetition)
 from .search import _backtrack, _closing_symbols
 from .words import (MAX_ALPHABET, Word, _CHARS, _check_alphabet_size, _check_integer, _set,
                     _symbol_bytes, _Value)
@@ -206,29 +206,33 @@ def verify_grid(
 
     The lines of direction (dr, dc) are progressions of step j = dr*cols + dc
     in the row-major cells, so each direction is searched as a whole by
-    ``repetition._earliest_run`` on the cells' bit planes, built once, and
-    bounded by its longest line. A pair (i, i + p*j) whose column c + p*dc is
-    off the grid wraps onto another line; those columns, marked on every
-    row, are cut from the search. A chain of pairs one stride apart stays on
-    one line too: where the cell j before an uncut pair wraps to another
-    row, its own column c' has c' + p*dc off the grid, so its pair is cut. A
-    direction where no repetition can start (-1) is clean. A flagged one has
-    its lines scanned in that order at difference 1, so the first report is
-    the one a line-by-line scan gives.
+    ``repetition._earliest_run`` on the cells' bit planes and one table of
+    run lengths, both built once, and bounded by its longest line; a
+    direction whose longest line has no room for a period is skipped. A pair
+    (i, i + p*j) whose column c + p*dc is off the grid wraps onto another
+    line; those columns, marked on every row, are cut from the search. A
+    chain of pairs one stride apart stays on one line too: where the cell j
+    before an uncut pair wraps to another row, its own column c' has
+    c' + p*dc off the grid, so its pair is cut. A direction where no
+    repetition can start (-1) is clean. A flagged one has its lines scanned
+    in that order at difference 1, so the first report is the one a
+    line-by-line scan gives.
     """
     t = _checked_threshold(threshold, min_period, strict)
+    t_num, t_den = t.numerator, t.denominator
     rows, cols = g.rows, g.cols
     diff1 = Differences.exactly(1)
     planes = _planes(g.cells)
+    runs = _run_lengths(max(rows, cols), t_num, t_den, strict, min_period)
     repunit = ((1 << rows * cols) - 1) // ((1 << cols) - 1)
     for dr, dc in directions(max_direction):
         longest = _cells_ahead(rows, cols, 0, 0 if dc >= 0 else cols - 1, dr, dc)
-        if longest < 2:
+        top = _top_period(longest, t_num, t_den, strict)
+        if longest < 2 or top < min_period:
             continue
         j = dr * cols + dc
         cut = partial(_edge_cut, cols, repunit, dc) if dc else None
-        if _earliest_run(planes, rows * cols, j, longest, t.numerator, t.denominator,
-                         strict, min_period, cut) < 0:
+        if _earliest_run(planes, rows * cols, j, runs, min_period, top, cut) < 0:
             continue
         for spec in _direction_lines(rows, cols, dr, dc):
             rep = find_repetition(extract_line(g, spec), t, strict=strict,

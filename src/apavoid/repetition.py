@@ -10,8 +10,9 @@ planes: plane P_k has bit k of symbol i as its bit i, so a 2-letter word has
 one plane, a 4-letter word two and any word at most four. Symbols i and
 i + d differ where bit i of OR_k (P_k ^ (P_k >> d)) is set, for i < n - d.
 One strided run search on those planes, ``_earliest_run``, finds where a
-repetition can first start; it screens each difference of a word and each
-direction of a grid, and places each flagged class's first offset.
+repetition can first start, with one call per difference and no call per
+period; it screens each difference of a word and each direction of a grid,
+and places each flagged class's first offset.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class Differences(_Value):
     def __init__(self, kind: str, value: int | None = None) -> None:
         if kind not in ("all", "odd", "exact"):
             raise ValueError(f"unknown difference selector {kind!r}")
-        if value is not None and not isinstance(value, int):
+        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
             raise ValueError(f"the {kind} selector needs an integer, not {value!r}")
         if kind == "exact" and (value is None or value < 1):
             raise ValueError(f"exact selector needs a difference of at least 1, not {value}")
@@ -211,44 +212,68 @@ def max_exponent(w: Word) -> Fraction:
     return best
 
 
-def _earliest_run(planes: list[int], n: int, j: int, longest: int, t_num: int, t_den: int,
-                  strict: bool, min_period: int, cut: Callable[[int], int] | None = None) -> int:
+def _run_lengths(m: int, t_num: int, t_den: int, strict: bool, min_period: int) -> list[int]:
+    """r(p) = ``_min_run(p)`` for each period p from min_period up to
+    ``_top_period(m)``, the periods a progression of m symbols can repeat at;
+    entry k is for period min_period + k. A scan builds it once and reads each
+    shorter progression's run lengths from its front."""
+    return [_min_run(p, t_num, t_den, strict)
+            for p in range(min_period, _top_period(m, t_num, t_den, strict) + 1)]
+
+
+def _earliest_run(planes: list[int], n: int, j: int, runs: list[int], min_period: int,
+                  top: int, cut: Callable[[int], int] | None = None) -> int:
     """Least i where a repetition along stride j in the n symbols can start, or -1.
 
-    For each period p >= min_period, bit i of the mismatch at shift p*j is
-    clear when s[i] == s[i + p*j]. ``_run_start`` with stride j looks for r =
-    _min_run(p) clear bits i, i + j, ..., i + (r-1)*j below n - p*j: r pairs
-    one stride apart, all in one class, all agreeing, which a repetition of
-    period p starting at i needs. Once a run is found, later periods only
-    look for runs that start before it. A repetition of smallest period q >=
+    One call searches every period p from min_period to ``top`` in one loop,
+    with no call per period; entry p - min_period of ``runs``, from
+    ``_run_lengths``, is r = _min_run(p). Bit i of the planes' mismatch at
+    shift p*j, formed as ``_mismatch`` forms it, is clear when s[i] ==
+    s[i + p*j]. The loop looks, with ``_run_start``'s doubling, for r clear
+    bits i, i + j, ..., i + (r-1)*j below n - p*j: r pairs one stride apart,
+    all in one class, all agreeing, which a repetition of period p starting
+    at i needs. Once a run is found, later periods only look for runs that
+    start before it. A repetition of smallest period q >=
     min_period leaves a run where it starts at p = q, so none starts before
     the answer. With min_period 1 one starts right there: the run spans p + r
     symbols of period p, so their smallest period passes too.
 
-    ``longest`` bounds the length of one progression. When the progressions
-    are shorter than the classes, as the lines of a grid in its row-major
-    cells are, ``cut(p)`` returns an integer with bit i set for each
-    i < n - p*j whose pair i + p*j lies on another progression. It is or-ed
-    into the mismatch, so those pairs never agree. The search stays exact
-    when every chain of uncut pairs one stride apart lies on one
-    progression; ``lattice`` shows this holds for the lines of a grid.
+    ``top`` is ``_top_period`` of the longest progression. When the
+    progressions are shorter than the classes, as the lines of a grid in its
+    row-major cells are, ``cut(p)`` returns an integer with bit i set for
+    each i < n - p*j whose pair i + p*j lies on another progression; it is
+    the one call per period left, and only grids make it. It is or-ed into
+    the mismatch, so those pairs never agree. The search stays exact when
+    every chain of uncut pairs one stride apart lies on one progression;
+    ``lattice`` shows this holds for the lines of a grid.
     """
     best = -1
-    for p in range(min_period, _top_period(longest, t_num, t_den, strict) + 1):
-        r = _min_run(p, t_num, t_den, strict)
+    for p, r in zip(range(min_period, top + 1), runs):
         if r == 0:
             return 0
-        e = _mismatch(planes, p * j)
+        d = p * j
+        e = 0
+        for x in planes:
+            e |= x ^ (x >> d)
         if cut is not None:
             e |= cut(p)
-        size = n - p * j
-        if best >= 0:  # only a run starting before the best can improve it
-            size = min(size, best + (r - 1) * j)
-        i = _run_start(e, size, r, j)
-        if i >= 0:
-            best = i
-            if i == 0:
+        # a run starts below n - d - (r-1)*j, and only one before the best helps
+        end = n - d - (r - 1) * j
+        if 0 <= best < end:
+            end = best
+        covered = 1
+        while True:
+            i = (e ^ (e + 1)).bit_length() - 1  # the lowest clear bit
+            if i >= end:
                 break
+            if covered == r:
+                if i == 0:
+                    return 0
+                best = i
+                break
+            step = covered if 2 * covered <= r else r - covered
+            e |= e >> (j * step)
+            covered += step
     return best
 
 
@@ -266,18 +291,22 @@ def find_repetition(
     is at least the threshold (above it when strict) with smallest period at
     least min_period. Returns None when every progression is clean.
 
-    The word's bit planes are built once, and ``_earliest_run`` searches
-    each difference j on them as a whole for the least position i where a
-    repetition can start; a difference with none (-1) is skipped. In a
-    flagged difference the classes are walked in start order, and the exact
-    kernel runs on each from the earliest offset where a repetition can
-    start. Position i is offset i // j of class i % j, and no repetition of
-    the difference starts before it, so that class starts there; every other
-    class runs the same search with stride 1 on its own planes. For j = 1
-    the one class is the word, which gets no planes of its own. The kernel
-    reads no symbol before the offset, so its report, shifted back by it, is
-    the one the scan contract asks for. With min_period > 1 an offset can be
-    false; the kernel then finds nothing and the walk moves on.
+    The word's bit planes and its table of run lengths are built once, and
+    ``_earliest_run`` searches each difference j on them as a whole, with one
+    call per difference and no call per period, for the least position i
+    where a repetition can start; a difference with none (-1) is skipped.
+    The classes of difference j hold at most ceil(n/j) letters, which falls
+    as j grows, so the loop ends at the first difference with no room for a
+    period (``_top_period(ceil(n/j)) < min_period``). In a flagged difference
+    the classes are walked in start order, and the exact kernel runs on each
+    from the earliest offset where a repetition can start. Position i is
+    offset i // j of class i % j, and no repetition of the difference starts
+    before it, so that class starts there; every other class runs the same
+    search with stride 1 on its own planes. For j = 1 the one class is the
+    word, which gets no planes of its own. The kernel reads no symbol before
+    the offset, so its report, shifted back by it, is the one the scan
+    contract asks for. With min_period > 1 an offset can be false; the
+    kernel then finds nothing and the walk moves on.
     """
     t = _checked_threshold(threshold, min_period, strict)
     if differences is None:
@@ -287,14 +316,21 @@ def find_repetition(
     s = w.symbols
     n = len(s)
     planes = _planes(s)
-    for j in differences.candidates(n):
-        first = _earliest_run(planes, n, j, -(-n // j), t_num, t_den, strict, min_period)
+    js = differences.candidates(n)
+    # the first difference has the longest classes, so the table covers every class
+    runs = _run_lengths(-(-n // js.start), t_num, t_den, strict, min_period)
+    for j in js:
+        top = _top_period(-(-n // j), t_num, t_den, strict)
+        if top < min_period:
+            break  # no room for a period here, nor on any later difference
+        first = _earliest_run(planes, n, j, runs, min_period, top)
         if first < 0:
             continue
         for start in range(j):
             ap = s[start::j]
             i = first // j if start == first % j else _earliest_run(
-                _planes(ap), len(ap), 1, len(ap), t_num, t_den, strict, min_period)
+                _planes(ap), len(ap), 1, runs, min_period,
+                _top_period(len(ap), t_num, t_den, strict))
             if i < 0:
                 continue
             hit = _backend.first_repetition(ap[i:], t_num, t_den, strict, min_period)

@@ -19,9 +19,9 @@ _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 def _check_integer(value: int, what: str, least: int | None = None,
                    most: int | None = None) -> None:
-    """Refuse, naming it, a value that is not an integer, is below least, or
-    is above most; a bound left as None is not checked."""
-    if not isinstance(value, int):
+    """Refuse, naming it, a value that is not an integer, is a bool, is below
+    least, or is above most; a bound left as None is not checked."""
+    if not isinstance(value, int) or isinstance(value, bool):  # True would pass as 1
         raise ValueError(f"{what} must be an integer, not {value!r}")
     if most is not None and not least <= value <= most:
         raise ValueError(f"{what} must be in {least}..{most}, not {value}")
@@ -179,6 +179,8 @@ class FoldingSequence(_Value):
             # 1.0 == 1, but a float instruction cannot be a byte of the word
             if not isinstance(b, int) or b not in (0, 1):
                 raise ValueError(f"folding instructions must be 0 or 1, not {b!r}")
+        if not isinstance(infinite_zeros, bool):  # any other value would be read for its truthiness
+            raise ValueError(f"infinite_zeros must be True or False, not {infinite_zeros!r}")
         _set(self, "bits", bits)
         _set(self, "infinite_zeros", infinite_zeros)
 

@@ -291,8 +291,9 @@ def test_earliest_run_matches_oracle_on_grids():
                 continue
             j = dr * cols + dc
             cut = partial(lattice._edge_cut, cols, repunit, dc) if dc else None
-            got = repetition._earliest_run(planes, rows * cols, j, longest, t.numerator,
-                                           t.denominator, strict, mp, cut)
+            runs = repetition._run_lengths(longest, t.numerator, t.denominator, strict, mp)
+            top = _backend._top_period(longest, t.numerator, t.denominator, strict)
+            got = repetition._earliest_run(planes, rows * cols, j, runs, mp, top, cut)
             assert got == earliest_run(list(g.cells), j, t, strict, mp, longest, cut), \
                 (g, t, strict, mp, dr, dc)
             starts.append(got)

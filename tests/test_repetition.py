@@ -502,6 +502,27 @@ def test_scan_builds_planes_once(monkeypatch):
     assert built == [1024, 341]
 
 
+@pytest.mark.parametrize("build, threshold, strict, min_period, last", [
+    (paperfolding_prefix, 3, True, 1, 169),  # top(m) = (m - 1) // 3 >= 1 needs m >= 4
+    (ternary_overlapfree, 2, True, 1, 255),  # (m - 1) // 2 >= 1 needs m >= 3
+    (binary_large_squarefree, 2, False, 3, 101),  # m // 2 >= 3 needs m >= 6
+])
+def test_scan_stops_at_the_first_difference_with_no_room(monkeypatch, build, threshold,
+                                                         strict, min_period, last):
+    # a clean scan makes one run search per odd difference j whose classes,
+    # ceil(n/j) letters, have room for a period, and none after the first without
+    scanned = []
+    search = repetition._earliest_run
+    monkeypatch.setattr(repetition, "_earliest_run",
+                        lambda planes, n, j, *rest: scanned.append(j) or search(planes, n, j, *rest))
+    word = build(ORDINARY, 512)
+    assert find_repetition(word, threshold, strict=strict, min_period=min_period,
+                           differences=Differences.odd()) is None
+    room = [j for j in range(1, 512, 2)
+            if _backend._top_period(-(-512 // j), threshold, 1, strict) >= min_period]
+    assert scanned == room == list(range(1, last + 1, 2))
+
+
 # thresholds of the run search, with strict
 RUN_THRESHOLDS = ((Fraction(1), False), (Fraction(3, 2), False), (Fraction(7, 4), False),
                   (Fraction(2), False), (Fraction(2), True), (Fraction(5, 2), False),
@@ -524,13 +545,45 @@ def test_earliest_run_matches_oracle():
                 sym[at + (k + p) * j] = sym[at + k * j]
         t, strict = rng.choice(RUN_THRESHOLDS)
         mp = rng.randrange(1, 4)
-        got = repetition._earliest_run(repetition._planes(bytes(sym)), n, j, -(-n // j),
-                                       t.numerator, t.denominator, strict, mp)
+        runs = repetition._run_lengths(n, t.numerator, t.denominator, strict, mp)
+        top = _backend._top_period(-(-n // j), t.numerator, t.denominator, strict)
+        got = repetition._earliest_run(repetition._planes(bytes(sym)), n, j, runs, mp, top)
         assert got == earliest_run(list(sym), j, t, strict, mp), (sym.hex(), j, t, strict, mp)
         starts.append(got)
     # 760 none, 358 at 0, 382 later, 103 of them at 8 or more
     assert sum(i < 0 for i in starts) > 600 and sum(i > 0 for i in starts) > 300
     assert sum(i >= 8 for i in starts) > 80
+
+
+def test_earliest_run_matches_oracle_on_long_runs():
+    # words of 48-200 letters over 4-16 letters, each with a planted run 8-20
+    # strides long, at thresholds 5/2 and 3; where the least period with a run
+    # at the answer needs r >= 9 agreements, the search there covers 1, 2, 4,
+    # 8 and then r bits: four doubling steps or more
+    rng = random.Random(2024)
+    starts, long_runs = [], 0
+    for _ in range(200):
+        n = rng.randrange(48, 201)
+        sym = bytearray(rng.randrange(rng.randrange(4, 17)) for _ in range(n))
+        j, p, at = rng.randrange(1, 8), rng.randrange(4, 11), rng.randrange(n // 2)
+        for k in range(rng.randrange(8, 21)):
+            if at + (k + p) * j < n:
+                sym[at + (k + p) * j] = sym[at + k * j]
+        t, strict = rng.choice(RUN_THRESHOLDS[5:])
+        mp = rng.randrange(1, 4)
+        runs = repetition._run_lengths(n, t.numerator, t.denominator, strict, mp)
+        top = _backend._top_period(-(-n // j), t.numerator, t.denominator, strict)
+        got = repetition._earliest_run(repetition._planes(bytes(sym)), n, j, runs, mp, top)
+        assert got == earliest_run(list(sym), j, t, strict, mp), (sym.hex(), j, t, strict, mp)
+        starts.append(got)
+        if got > 0:
+            q = next(q for q in range(mp, top + 1)
+                     if all(a + q * j < n and sym[a] == sym[a + q * j]
+                            for a in range(got, got + runs[q - mp] * j, j)))
+            long_runs += runs[q - mp] >= 9
+    # 77 none, 1 at 0 and 122 later, 59 of them with r >= 9
+    assert sum(i < 0 for i in starts) > 50 and sum(i > 0 for i in starts) > 100
+    assert long_runs > 40
 
 
 # ---------------------------------------------------------------- block repeats

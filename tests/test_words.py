@@ -281,6 +281,21 @@ def test_negative_lengths_are_refused_by_name():
     (lambda: FoldingSequence((0, 1.0)), r"^folding instructions must be 0 or 1, not 1\.0$"),
     (lambda: FoldingSequence((True, 0.0)), r"^folding instructions must be 0 or 1, not 0\.0$"),
     (lambda: FoldingSequence(5), r"^folding instructions must be a sequence of 0s and 1s, not 5$"),
+    # an infinite_zeros flag that is no bool, which would be read for its truthiness
+    (lambda: FoldingSequence((0, 1), "no"), r"^infinite_zeros must be True or False, not 'no'$"),
+    (lambda: FoldingSequence((0, 1), 0), r"^infinite_zeros must be True or False, not 0$"),
+    (lambda: FoldingSequence((), None), r"^infinite_zeros must be True or False, not None$"),
+    # a bool where an integer is asked for, which isinstance(True, int) would let through
+    (lambda: AvoidanceProblem(4, 2, Differences.odd(), min_period=True),
+     r"^min_period must be an integer, not True$"),
+    (lambda: grid_search(3, 2, True), r"^region side must be an integer, not True$"),
+    (lambda: find_repetition(Word(b"\0\0", 2), 2, min_period=False),
+     r"^min_period must be an integer, not False$"),
+    (lambda: Word(b"\0\1", 2).prefix(True), r"^prefix length must be an integer, not True$"),
+    (lambda: Progression(0, True, 2), r"^difference must be an integer, not True$"),
+    (lambda: Differences.odd(True), r"^the odd selector needs an integer, not True$"),
+    (lambda: Differences.all(False), r"^the all selector needs an integer, not False$"),
+    (lambda: Differences.exactly(True), r"^the exact selector needs an integer, not True$"),
     # a strict flag that is no bool, which would be read for its truthiness
     (lambda: grid_search(3, 2, 2, strict="no"), r"^strict must be True or False, not 'no'$"),
     (lambda: find_repetition(Word(b"\0\0", 2), 2, strict=[0]),
