@@ -8,11 +8,12 @@ gcd(dr, |dc|) = 1. Every such vector has an odd component, which is what
 lets product grids inherit cleanness from odd-difference progressions of
 their factors.
 
-The lines of one direction are progressions of one step in the row-major
-cells, so ``verify_grid`` screens a direction on their bit planes, as
-``find_repetition`` screens a difference, and
-``grid_search`` runs the word searches' engine on a rule read from per-cell
-witness chains, whose backward rays are progressions of the same strides.
+The lines of one direction are progressions of one step in the grid's
+cells, laid out with pad cells after each row, so ``verify_grid`` screens a
+direction on their bit planes, as ``find_repetition`` screens a difference,
+and ``grid_search`` runs the word searches' engine on a rule read from
+per-cell witness chains, whose backward rays are progressions through the
+row-major cells.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from fractions import Fraction
-from functools import partial
 from operator import itemgetter
 
 from ._backend import _min_run, _top_period
@@ -47,10 +47,13 @@ class Grid(_Value):
         if len(cells) != rows * cols:
             raise ValueError(f"{len(cells)} cells do not fill the declared {rows}x{cols} shape")
         if factors is not None:
-            if len(factors) != 2:
+            if not isinstance(factors, (tuple, list)) or len(factors) != 2:
                 raise ValueError(f"factors must be a pair of sizes, not {factors!r}")
+            for size in factors:
+                _check_integer(size, "factor size", 1)
             if factors[0] * factors[1] != alphabet_size:
                 raise ValueError("factors do not multiply to the alphabet size")
+            factors = tuple(factors)  # a list would make the grid unhashable
         _set(self, "rows", rows)
         _set(self, "cols", cols)
         _set(self, "cells", cells)
@@ -184,12 +187,17 @@ def extract_line(g: Grid, spec: LineSpec) -> Word:
     return Word(memoryview(g.cells)[head::j or 1][:spec.count].tobytes(), g.alphabet_size)
 
 
-def _edge_cut(cols: int, repunit: int, dc: int, p: int) -> int:
-    """Bit r*cols + c, as in ``repetition``'s planes, for each cell (r, c) whose
-    column c + p*dc is off the grid: one row's bits times a repunit of rows."""
-    k = min(cols, p * abs(dc))
-    row = (1 << k) - 1
-    return (row << (cols - k) if dc > 0 else row) * repunit
+def _row_pad(cols: int, max_direction: int, t_num: int, t_den: int, strict: bool) -> int:
+    """Pad cells after each row in ``verify_grid``'s layout: enough that no
+    pair p*(dr, dc) apart with p <= ``_top_period`` of its direction's longest
+    line leaves its row by more than the pad. A screened direction with
+    dc != 0 has 1 <= |dc| <= cols - 1 and a longest line of L >= 2 cells with
+    (L - 1)*|dc| <= cols - 1, so L*|dc| <= cols - 1 + min(max_direction,
+    cols - 1); and _top_period(L)*k <= _top_period(L*k), strict or not, so
+    p*|dc| is at most this pad. With one column no such direction exists.
+    """
+    return _top_period(cols - 1 + min(max_direction, cols - 1), t_num, t_den,
+                       strict) if cols > 1 else 0
 
 
 def verify_grid(
@@ -204,35 +212,38 @@ def verify_grid(
     direction by direction, in the order of ``directions``, and row-major by
     head within a direction.
 
-    The lines of direction (dr, dc) are progressions of step j = dr*cols + dc
-    in the row-major cells, so each direction is searched as a whole by
-    ``repetition._earliest_run`` on the cells' bit planes and one table of
-    run lengths, both built once, and bounded by its longest line; a
-    direction whose longest line has no room for a period is skipped. A pair
-    (i, i + p*j) whose column c + p*dc is off the grid wraps onto another
-    line; those columns, marked on every row, are cut from the search. A
-    chain of pairs one stride apart stays on one line too: where the cell j
-    before an uncut pair wraps to another row, its own column c' has
-    c' + p*dc off the grid, so its pair is cut. A direction where no
+    The rows are laid out width = cols + ``_row_pad`` cells apart, with pad
+    cells after each, and the lines of direction (dr, dc) are progressions of
+    step j = dr*width + dc in that layout. Each direction is searched as a
+    whole by ``repetition._earliest_run`` on the layout's bit planes and one
+    table of run lengths, both built once, and bounded by its longest line;
+    a direction whose longest line has no room for a period is skipped. Pad
+    cells have a plane of their own, so no cell agrees with one, and their
+    mask starts every mismatch, so none starts a run. A pair whose column
+    leaves the grid, and a step of a chain that leaves its line, land on pad
+    cells, so every run found lies on one line. A direction where no
     repetition can start (-1) is clean. A flagged one has its lines scanned
     in that order at difference 1, so the first report is the one a
     line-by-line scan gives.
     """
     t = _checked_threshold(threshold, min_period, strict)
+    _check_integer(max_direction, "direction cap", 1)
     t_num, t_den = t.numerator, t.denominator
     rows, cols = g.rows, g.cols
     diff1 = Differences.exactly(1)
-    planes = _planes(g.cells)
+    pad = _row_pad(cols, max_direction, t_num, t_den, strict)
+    width = cols + pad
+    mask = int(("1" * pad + "0" * cols) * rows, 2)  # bit r*width + c for c >= cols
+    gap = bytes(pad)
+    laid_out = b"".join(g.cells[k:k + cols] + gap for k in range(0, rows * cols, cols))
+    planes = _planes(laid_out) + [mask]  # the pad cells' own plane
     runs = _run_lengths(max(rows, cols), t_num, t_den, strict, min_period)
-    repunit = ((1 << rows * cols) - 1) // ((1 << cols) - 1)
     for dr, dc in directions(max_direction):
         longest = _cells_ahead(rows, cols, 0, 0 if dc >= 0 else cols - 1, dr, dc)
         top = _top_period(longest, t_num, t_den, strict)
         if longest < 2 or top < min_period:
             continue
-        j = dr * cols + dc
-        cut = partial(_edge_cut, cols, repunit, dc) if dc else None
-        if _earliest_run(planes, rows * cols, j, runs, min_period, top, cut) < 0:
+        if _earliest_run(planes, rows * width, dr * width + dc, runs, min_period, top, mask) < 0:
             continue
         for spec in _direction_lines(rows, cols, dr, dc):
             rep = find_repetition(extract_line(g, spec), t, strict=strict,
@@ -263,7 +274,7 @@ def _grid_rule(t: Fraction, side: int, strict: bool, min_period: int,
     at the next cell closes a repetition on one of its backward rays.
 
     Only repetitions ending at the new cell need a check. As in
-    ``verify_grid``, a line of direction (dr, dc) is a progression of stride
+    ``extract_line``, a line of direction (dr, dc) is a progression of stride
     j = dr*side + dc through the row-major cells. A cell whose predecessor
     (row - dr, col - dc) is on the grid has a backward ray of n cells, the
     predecessor's ray plus itself; then dr >= 1 with |dc| < side, or the

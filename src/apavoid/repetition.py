@@ -5,19 +5,19 @@ start, then offset within the subsequence, then period, and the first
 passing candidate is reported. Periods in reports are always the smallest
 period of the witness, and exponents are exact rationals.
 
-Scans read a word, a progression class or a grid's row-major cells as bit
-planes: plane P_k has bit k of symbol i as its bit i, so a 2-letter word has
-one plane, a 4-letter word two and any word at most four. Symbols i and
-i + d differ where bit i of OR_k (P_k ^ (P_k >> d)) is set, for i < n - d.
-One strided run search on those planes, ``_earliest_run``, finds where a
-repetition can first start, with one call per difference and no call per
-period; it screens each difference of a word and each direction of a grid,
-and places each flagged class's first offset.
+Scans read a word, a progression class or a grid's cells as bit planes:
+plane P_k has bit k of symbol i as its bit i, so a 2-letter word has one
+plane, a 4-letter word two and any word at most four. Symbols i and i + d
+differ where bit i of OR_k (P_k ^ (P_k >> d)) is set, for i < n - d. A
+grid's rows are laid out with pad cells after each, which get a plane of
+their own. One strided run search on those planes, ``_earliest_run``, finds
+where a repetition can first start, with one call per difference and no call
+per period; it screens each difference of a word and each direction of a
+grid, and places each flagged class's first offset.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from fractions import Fraction
 
 from . import _backend
@@ -136,21 +136,22 @@ def _mismatch(planes: list[int], d: int) -> int:
     return e
 
 
-def _run_start(e: int, size: int, k: int, stride: int = 1) -> int:
-    """Least i with the k bits i, i + stride, ..., i + (k-1)*stride of e clear
-    and below size, or -1. Or-ing in e shifted down by stride, 2*stride, ...
-    until k bits are covered leaves bit i clear exactly there; a run of k
-    holds shorter ones, so the search stops once no shorter run is in range.
+def _run_start(e: int, size: int, k: int) -> int:
+    """Least i with the k bits i, i + 1, ..., i + k - 1 of e clear and below
+    size, or -1. Or-ing in e shifted down by 1, 2, 4, ... until k bits are
+    covered leaves bit i clear exactly there; a run of k holds shorter ones,
+    so the search stops once no shorter run is in range. ``_earliest_run``
+    runs the same doubling inline, along a stride.
     """
     covered = 1
     while True:
         i = (e ^ (e + 1)).bit_length() - 1  # the lowest clear bit
-        if i >= size - (k - 1) * stride:
+        if i >= size - (k - 1):
             return -1
         if covered == k:
             return i
         step = covered if 2 * covered <= k else k - covered
-        e |= e >> (stride * step)
+        e |= e >> step
         covered += step
 
 
@@ -222,7 +223,7 @@ def _run_lengths(m: int, t_num: int, t_den: int, strict: bool, min_period: int) 
 
 
 def _earliest_run(planes: list[int], n: int, j: int, runs: list[int], min_period: int,
-                  top: int, cut: Callable[[int], int] | None = None) -> int:
+                  top: int, mask: int = 0) -> int:
     """Least i where a repetition along stride j in the n symbols can start, or -1.
 
     One call searches every period p from min_period to ``top`` in one loop,
@@ -238,25 +239,18 @@ def _earliest_run(planes: list[int], n: int, j: int, runs: list[int], min_period
     the answer. With min_period 1 one starts right there: the run spans p + r
     symbols of period p, so their smallest period passes too.
 
-    ``top`` is ``_top_period`` of the longest progression. When the
-    progressions are shorter than the classes, as the lines of a grid in its
-    row-major cells are, ``cut(p)`` returns an integer with bit i set for
-    each i < n - p*j whose pair i + p*j lies on another progression; it is
-    the one call per period left, and only grids make it. It is or-ed into
-    the mismatch, so those pairs never agree. The search stays exact when
-    every chain of uncut pairs one stride apart lies on one progression;
-    ``lattice`` shows this holds for the lines of a grid.
+    ``top`` is ``_top_period`` of the longest progression. Every mismatch
+    starts from ``mask``, so no run starts at a bit set in it: ``lattice``
+    sets it on the pad cells between a grid's rows.
     """
     best = -1
     for p, r in zip(range(min_period, top + 1), runs):
         if r == 0:
             return 0
         d = p * j
-        e = 0
+        e = mask
         for x in planes:
             e |= x ^ (x >> d)
-        if cut is not None:
-            e |= cut(p)
         # a run starts below n - d - (r-1)*j, and only one before the best helps
         end = n - d - (r - 1) * j
         if 0 <= best < end:

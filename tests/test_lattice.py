@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -274,31 +273,68 @@ def test_verify_top_plane_cells_match_line_by_line_oracle():
     assert 50 < hits < 250
 
 
-def test_earliest_run_matches_oracle_on_grids():
-    # each direction's search on the row-major cells, with the grid's edge cut
+def test_earliest_run_matches_oracle_on_grids(monkeypatch):
+    # each direction's screen on verify_grid's padded planes, its start mapped
+    # back to the row-major cells, against a trial search there whose pairs
+    # leaving the grid sideways are cut one cell at a time
+    screens = []
+
+    def record(*args):
+        screens.append(args)
+        return -1  # every direction reads as clean, so every one is screened
+
+    monkeypatch.setattr(lattice, "_earliest_run", record)
     rng = random.Random(2021)
     starts = []
     for case in range(400):
         g = random_verify_case(rng, case)
         rows, cols = g.rows, g.cols
-        planes = repetition._planes(g.cells)
-        repunit = ((1 << rows * cols) - 1) // ((1 << cols) - 1)
         t = rng.choice(THRESHOLDS[:-1])
         strict, mp = rng.random() < 0.5, rng.randrange(1, 4)
-        for dr, dc in directions(rng.choice((1, 2, 8))):
+        cap = rng.choice((1, 2, 8))
+        screens.clear()
+        assert verify_grid(g, t, strict=strict, min_period=mp, max_direction=cap) is None
+        lines = []
+        for dr, dc in directions(cap):
             longest = lattice._cells_ahead(rows, cols, 0, 0 if dc >= 0 else cols - 1, dr, dc)
-            if longest < 2:
-                continue
-            j = dr * cols + dc
-            cut = partial(lattice._edge_cut, cols, repunit, dc) if dc else None
-            runs = repetition._run_lengths(longest, t.numerator, t.denominator, strict, mp)
             top = _backend._top_period(longest, t.numerator, t.denominator, strict)
-            got = repetition._earliest_run(planes, rows * cols, j, runs, mp, top, cut)
-            assert got == earliest_run(list(g.cells), j, t, strict, mp, longest, cut), \
-                (g, t, strict, mp, dr, dc)
+            if longest >= 2 and top >= mp:
+                lines.append((dr, dc, longest))
+        assert len(screens) == len(lines)
+        for (dr, dc, longest), args in zip(lines, screens):
+            width = args[1] // rows
+            got = repetition._earliest_run(*args)
+            if got >= 0:
+                got = got // width * cols + got % width
+
+            def cut(p, dc=dc):
+                return sum(1 << r * cols + c for r in range(rows) for c in range(cols)
+                           if not 0 <= c + p * dc < cols)
+
+            assert got == earliest_run(list(g.cells), dr * cols + dc, t, strict, mp, longest,
+                                       cut), (g, t, strict, mp, dr, dc)
             starts.append(got)
-    # 3,727 directions: 3,110 clean, 325 flagged at 0 and 292 later
-    assert sum(i < 0 for i in starts) > 2500 and sum(i > 0 for i in starts) > 200
+    # 1,371 screened directions: 754 clean, 325 flagged at 0 and 292 later
+    assert sum(i < 0 for i in starts) > 600 and sum(i > 0 for i in starts) > 200
+
+
+@pytest.mark.parametrize("t, strict", [(Fraction(1), False), (Fraction(3, 2), False),
+                                       (Fraction(2), False), (Fraction(2), True),
+                                       (Fraction(3), False)])
+def test_row_pad_holds_every_pair_of_a_screened_direction(t, strict):
+    # a screened direction's pairs p*(dr, dc) apart, p up to the top period of
+    # its longest line, never leave their row by more than the pad; dr = 1
+    # gives every dc up to the cap, and enough rows leave the columns as the bound
+    for cols in range(1, 31):
+        for cap in range(1, 32):
+            for mp in (1, 2, 3):
+                pad = lattice._row_pad(cols, cap, t.numerator, t.denominator, strict)
+                assert pad >= 0
+                for dc in range(1, min(cap, cols - 1) + 1):
+                    longest = 1 + (cols - 1) // dc
+                    top = _backend._top_period(longest, t.numerator, t.denominator, strict)
+                    if top >= mp:
+                        assert top * dc <= pad, (cols, cap, mp, dc)
 
 
 def test_square_across_a_row_edge_is_not_a_line(monkeypatch):

@@ -235,6 +235,10 @@ def test_negative_lengths_are_refused_by_name():
      r"min_period must be an integer, not 1\.5$"),
     (lambda: verify_grid(Grid(1, 1, b"\0", 2), 2, max_direction=2.5),
      r"direction cap must be an integer, not 2\.5$"),
+    (lambda: verify_grid(Grid(2, 2, bytes(4), 2), 2, max_direction="8"),
+     r"^direction cap must be an integer, not '8'$"),
+    (lambda: verify_grid(Grid(2, 2, bytes(4), 2), 2, max_direction=None),
+     r"^direction cap must be an integer, not None$"),
     (lambda: grid_search(2, 2, 2.5), r"region side must be an integer, not 2\.5$"),
     (lambda: carpi_word(2.5), r"^length must be an integer, not 2\.5$"),
     (lambda: Progression(0, 1.5, 2), r"^difference must be an integer, not 1\.5$"),
@@ -277,6 +281,15 @@ def test_negative_lengths_are_refused_by_name():
     (lambda: Grid(1, 2, [0, 1.5], 2), r"^cell symbol 1\.5 at index 1 must be an integer$"),
     (lambda: Grid(2, 2, bytes(4), 4, factors=(2,)),
      r"^factors must be a pair of sizes, not \(2,\)$"),
+    (lambda: Grid(1, 1, b"\3", 4, factors=5), r"^factors must be a pair of sizes, not 5$"),
+    (lambda: Grid(1, 1, b"\3", 4, factors="ab"),
+     r"^factors must be a pair of sizes, not 'ab'$"),
+    (lambda: Grid(1, 1, b"\3", 4, factors=(2.5, 1.6)),
+     r"^factor size must be an integer, not 2\.5$"),
+    (lambda: Grid(1, 1, b"\3", 4, factors=(True, 4)),
+     r"^factor size must be an integer, not True$"),
+    (lambda: Grid(1, 1, b"\3", 4, factors=(-1, -4)),
+     r"^factor size must be at least 1, not -1$"),
     # folding instructions that equal 0 or 1 without being integers, and no sequence at all
     (lambda: FoldingSequence((0, 1.0)), r"^folding instructions must be 0 or 1, not 1\.0$"),
     (lambda: FoldingSequence((True, 0.0)), r"^folding instructions must be 0 or 1, not 0\.0$"),
@@ -310,6 +323,12 @@ def test_negative_lengths_are_refused_by_name():
 def test_errors_name_the_bad_value(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_grid_factors_are_stored_as_a_hashable_pair():
+    g = Grid(1, 1, b"\3", 4, factors=[2, 2])
+    assert g.factors == (2, 2) and g.pair(0, 0) == (1, 1)
+    assert hash(g) == hash(Grid(1, 1, b"\3", 4, factors=(2, 2)))
 
 
 def test_complement_and_reverse():
