@@ -1,6 +1,6 @@
 """The exact repetition kernels and the threshold arithmetic, in pure Python.
 
-Both kernels take a raw ``bytes`` word. A candidate of length m and
+All three kernels take a raw ``bytes`` word. A candidate of length m and
 period p passes when m/p >= t_num/t_den (or > with strict). The package
 asks that question in two integer forms: ``_top_period(m)``, the largest
 period a run of m symbols can repeat at, and ``_min_run(p)``, how many
@@ -10,8 +10,8 @@ the smallest period of the witness.
 
 ``_prefix_periods`` is the one failure-function loop: it yields the
 smallest period of each prefix, m - pi[m - 1] for the prefix of length m.
-``first_repetition`` reads periods off it, and so does
-``repetition.smallest_period``. ``clean_after_append`` needs no
+``first_repetition`` and ``max_exponent_pair`` read periods off it, and so
+does ``repetition.smallest_period``. ``clean_after_append`` needs no
 failure function: it tries periods in ascending order, so the first run
 that passes and is longer than every suffix with a period below
 ``min_period`` has smallest period p (a smaller period q >= ``min_period``
@@ -20,8 +20,8 @@ of the same run would have passed first, since run/q > run/p).
 ``repetition.find_repetition`` runs ``first_repetition`` on a progression
 class from its earliest candidate offset, and the word and grid searches
 run ``clean_after_append`` on each class through a newly placed symbol.
-``repetition.max_exponent`` needs no kernel: it searches the word's bit
-planes.
+``max_exponent_pair`` is the reference that the tests hold
+``repetition.max_exponent`` to.
 """
 
 BACKEND = "pure"
@@ -126,3 +126,18 @@ def clean_after_append(s, t_num, t_den, strict, min_period):
             return False
     return True
 
+
+def max_exponent_pair(s):
+    """(length, period) maximizing length/period over all factors of s.
+
+    Periods are smallest periods, so the ratio is the factor's exponent.
+    Strict improvement keeps the earliest witness. Expects len(s) >= 1.
+    Quadratic; the package no longer calls it, and the tests keep it as the
+    reference for ``repetition.max_exponent``.
+    """
+    best_m, best_p = 1, 1
+    for o in range(len(s)):
+        for m, p in enumerate(_prefix_periods(s[o:]), 1):
+            if m * best_p > best_m * p:
+                best_m, best_p = m, p
+    return best_m, best_p

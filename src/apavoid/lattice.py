@@ -53,12 +53,12 @@ class Grid(_Value):
                 _check_integer(size, "factor size", 1)
             if factors[0] * factors[1] != alphabet_size:
                 raise ValueError("factors do not multiply to the alphabet size")
-            factors = tuple(factors)  # a list would make the grid unhashable
         _set(self, "rows", rows)
         _set(self, "cols", cols)
         _set(self, "cells", cells)
         _set(self, "alphabet_size", alphabet_size)
-        _set(self, "factors", factors)
+        # a tuple, since a list would make the grid unhashable
+        _set(self, "factors", factors if factors is None else tuple(factors))
 
     def cell(self, row: int, col: int) -> int:
         if not (0 <= row < self.rows and 0 <= col < self.cols):
@@ -234,8 +234,7 @@ def verify_grid(
     pad = _row_pad(cols, max_direction, t_num, t_den, strict)
     width = cols + pad
     mask = int(("1" * pad + "0" * cols) * rows, 2)  # bit r*width + c for c >= cols
-    gap = bytes(pad)
-    laid_out = b"".join(g.cells[k:k + cols] + gap for k in range(0, rows * cols, cols))
+    laid_out = b"".join(g.cells[k:k + cols] + bytes(pad) for k in range(0, rows * cols, cols))
     planes = _planes(laid_out) + [mask]  # the pad cells' own plane
     runs = _run_lengths(max(rows, cols), t_num, t_den, strict, min_period)
     for dr, dc in directions(max_direction):

@@ -3,8 +3,7 @@
 Everything here works on plain Python sequences and deliberately avoids the
 library's algorithms: paperfolding via the recursive even/odd construction
 and letter by letter from each position, periods by trial division,
-repetition scans by string slicing. ``max_exponent_pair``, the one reference
-fast enough for words of hundreds of letters, runs its own failure function.
+repetition scans by string slicing.
 """
 
 from fractions import Fraction
@@ -66,31 +65,6 @@ def max_exponent_scan(seq):
             if e > best:
                 best = e
     return best
-
-
-def max_exponent_pair(seq):
-    """(length, period) maximizing length/period over all factors of seq.
-
-    The smallest period of each prefix of each suffix is its length minus its
-    longest border, read off one failure function per suffix, so the ratio is
-    the factor's exponent. Strict improvement keeps the earliest witness.
-    Expects len(seq) >= 1. Quadratic.
-    """
-    best_m, best_p = 1, 1
-    for o in range(len(seq)):
-        s = seq[o:]
-        border = [0] * len(s)
-        k = 0
-        for i in range(1, len(s)):
-            while k and s[k] != s[i]:
-                k = border[k - 1]
-            if s[k] == s[i]:
-                k += 1
-            border[i] = k
-            m, p = i + 1, i + 1 - k
-            if m * best_p > best_m * p:
-                best_m, best_p = m, p
-    return best_m, best_p
 
 
 def ap_slice(seq, start, diff, count):

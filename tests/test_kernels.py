@@ -1,6 +1,5 @@
-"""The two exact kernels of ``apavoid._backend`` against the brute-force oracles,
-its threshold arithmetic against ``Fraction``, and the quadratic reference
-``oracles.max_exponent_pair`` against the slicing scan.
+"""The three exact kernels of ``apavoid._backend`` against the brute-force oracles,
+and its threshold arithmetic against ``Fraction``.
 
 Words have at least two symbols wherever the oracle scans difference 1, since
 it scans no difference on a single symbol. Every case is seeded.
@@ -18,9 +17,10 @@ from apavoid._backend import (
     _top_period,
     clean_after_append,
     first_repetition,
+    max_exponent_pair,
 )
 
-from oracles import first_report, max_exponent_pair, max_exponent_scan, smallest_period_trial
+from oracles import first_report, max_exponent_scan, smallest_period_trial
 
 THRESHOLDS = [Fraction(1), Fraction(3, 2), Fraction(7, 4), Fraction(2), Fraction(9, 4),
               Fraction(3), Fraction(2**62 + 1, 2**61)]

@@ -38,7 +38,6 @@ from oracles import (
     exponent_of,
     first_report,
     first_report_per_progression,
-    max_exponent_pair,
     max_exponent_scan,
     smallest_period_trial,
     square_periods_scan,
@@ -102,7 +101,7 @@ def test_max_exponent_matches_kernel():
                 sym[i] = sym[i - p]
         words.append(Word(bytes(sym), 4))
     for word in words:
-        m, p = max_exponent_pair(word.symbols)
+        m, p = _backend.max_exponent_pair(word.symbols)
         assert max_exponent(word) == Fraction(m, p), word.to_text()
 
 
@@ -435,7 +434,7 @@ def test_top_plane_letters_max_exponent_matches_kernel():
         p, at = rng.randrange(1, 30), rng.randrange(n)
         for i in range(at + p, min(n, at + p + rng.randrange(1, 90))):
             sym[i] = sym[i - p]
-        m, q = max_exponent_pair(bytes(sym))
+        m, q = _backend.max_exponent_pair(bytes(sym))
         assert max_exponent(Word(bytes(sym), 16)) == Fraction(m, q), sym.hex()
 
 
