@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 
 from ._backend import _min_run, _top_period
@@ -141,12 +142,14 @@ def product_grid(u: Word, v: Word) -> Grid:
 def directions(max_direction: int) -> list[tuple[int, int]]:
     """Primitive directions up to reversal, components bounded in magnitude."""
     _check_integer(max_direction, "direction cap", 1)
-    out = [(0, 1)]
-    for dr in range(1, max_direction + 1):
-        for dc in range(-max_direction, max_direction + 1):
-            if math.gcd(dr, abs(dc)) == 1:
-                out.append((dr, dc))
-    return out
+    return list(_directions(max_direction))
+
+
+@lru_cache(maxsize=16)
+def _directions(cap: int) -> tuple[tuple[int, int], ...]:
+    """``directions`` of a cap already checked, kept per cap as a tuple."""
+    return (0, 1), *((dr, dc) for dr in range(1, cap + 1) for dc in range(-cap, cap + 1)
+                     if math.gcd(dr, abs(dc)) == 1)
 
 
 def _cells_ahead(rows: int, cols: int, r: int, c: int, dr: int, dc: int) -> int:
@@ -212,41 +215,50 @@ def verify_grid(
     direction by direction, in the order of ``directions``, and row-major by
     head within a direction.
 
-    The rows are laid out width = cols + ``_row_pad`` cells apart, with pad
-    cells after each, and the lines of direction (dr, dc) are progressions of
-    step j = dr*width + dc in that layout. Each direction is searched as a
-    whole by ``repetition._earliest_run`` on the layout's bit planes and one
-    table of run lengths, both built once, and bounded by its longest line;
-    a direction whose longest line has no room for a period is skipped. Pad
+    The directions of a cap are built once and kept as a tuple. A
+    direction's longest line starts at a corner and has 1 + min((rows-1)//dr,
+    (cols-1)//|dc|) cells, a zero component bounding nothing; a direction
+    whose longest line has no room for a period is skipped. The rows are
+    laid out width = cols + ``_row_pad`` cells apart, with pad cells after
+    each, and the lines of direction (dr, dc) are progressions of step
+    j = dr*width + dc in that layout. Each direction is searched as a whole
+    by ``repetition._earliest_run`` on the layout's bit planes and one table
+    of run lengths, both built once, and bounded by its longest line. Pad
     cells have a plane of their own, so no cell agrees with one, and their
     mask starts every mismatch, so none starts a run. A pair whose column
     leaves the grid, and a step of a chain that leaves its line, land on pad
     cells, so every run found lies on one line. A direction where no
     repetition can start (-1) is clean. A flagged one has its lines scanned
     in that order at difference 1, so the first report is the one a
-    line-by-line scan gives.
+    line-by-line scan gives. When ``_min_run(min_period)`` is 0 (threshold
+    1, not strict) a repetition needs no agreeing pair, so the screen would
+    flag every direction with room at once: no layout is built, and those
+    directions have their lines scanned directly.
     """
     t = _checked_threshold(threshold, min_period, strict)
     _check_integer(max_direction, "direction cap", 1)
     t_num, t_den = t.numerator, t.denominator
     rows, cols = g.rows, g.cols
-    diff1 = Differences.exactly(1)
-    pad = _row_pad(cols, max_direction, t_num, t_den, strict)
-    width = cols + pad
-    mask = int(("1" * pad + "0" * cols) * rows, 2)  # bit r*width + c for c >= cols
-    laid_out = b"".join(g.cells[k:k + cols] + bytes(pad) for k in range(0, rows * cols, cols))
-    planes = _planes(laid_out) + [mask]  # the pad cells' own plane
-    runs = _run_lengths(max(rows, cols), t_num, t_den, strict, min_period)
-    for dr, dc in directions(max_direction):
-        longest = _cells_ahead(rows, cols, 0, 0 if dc >= 0 else cols - 1, dr, dc)
+    screen = _min_run(min_period, t_num, t_den, strict) > 0
+    if screen:  # else every direction with room is flagged, and no layout is needed
+        pad = _row_pad(cols, max_direction, t_num, t_den, strict)
+        width = cols + pad
+        mask = int(("1" * pad + "0" * cols) * rows, 2)  # bit r*width + c for c >= cols
+        laid_out = b"".join(g.cells[k:k + cols] + bytes(pad) for k in range(0, rows * cols, cols))
+        planes = _planes(laid_out) + [mask]  # the pad cells' own plane
+        runs = _run_lengths(max(rows, cols), t_num, t_den, strict, min_period)
+    for dr, dc in _directions(max_direction):
+        # a zero component bounds nothing: (0, 1) runs along a row and (1, 0) down a column
+        longest = 1 + min((rows - 1) // dr if dr else cols, (cols - 1) // abs(dc) if dc else rows)
         top = _top_period(longest, t_num, t_den, strict)
         if longest < 2 or top < min_period:
             continue
-        if _earliest_run(planes, rows * width, dr * width + dc, runs, min_period, top, mask) < 0:
+        if screen and _earliest_run(planes, rows * width, dr * width + dc, runs, min_period, top,
+                                    mask) < 0:
             continue
         for spec in _direction_lines(rows, cols, dr, dc):
             rep = find_repetition(extract_line(g, spec), t, strict=strict,
-                                  min_period=min_period, differences=diff1)
+                                  min_period=min_period, differences=Differences.exactly(1))
             if rep is not None:
                 return spec, rep
     return None
@@ -274,53 +286,69 @@ def _grid_rule(t: Fraction, side: int, strict: bool, min_period: int,
 
     Only repetitions ending at the new cell need a check. As in
     ``extract_line``, a line of direction (dr, dc) is a progression of stride
-    j = dr*side + dc through the row-major cells. A cell whose predecessor
-    (row - dr, col - dc) is on the grid has a backward ray of n cells, the
-    predecessor's ray plus itself; then dr >= 1 with |dc| < side, or the
-    direction is (0, 1), so j >= 1 and the ray's other cells cell - (n-1)*j,
-    ..., cell - j all precede it. Each cell has witness chains, built once:
-    one per backward ray and period p, with r = _min_run(p). A repetition
-    of period p ending at the cell has r agreements p steps apart along the
-    ray; the last pairs the cell with the cell p steps back, cell - p*j, and
-    the r - 1 before it lie among cells already placed. So the rule is the
-    set of symbols p steps back on the chains whose r - 1 agreements hold:
-    exactly those that close a repetition, with min_period 1. With
-    min_period > 1 they are only candidates, as is every symbol below limit
-    with r = 0 (threshold 1, not strict), kept by ``search._closing_symbols``
-    if ``_backend.clean_after_append`` rejects one of the cell's rays.
+    j = dr*side + dc through the row-major cells, and j >= 1, since dr >= 1
+    with |dc| < side or the direction is (0, 1); so a cell's backward ray
+    cell - j, cell - 2j, ... runs over cells already placed. A repetition of
+    period p ending at the cell has r = _min_run(p) agreements p steps apart
+    along the ray; the last pairs the cell with the cell p steps back,
+    back = cell - p*j, and the r - 1 before it lie among cells already
+    placed. Its witness chain reaches span = p + r - 1 cells back, so the
+    cells with a chain of period p are those with span predecessors on the
+    ray: a rectangle of rows span*dr to side - 1, and of columns span*dc to
+    side - 1 when dc >= 0 or 0 to side - 1 + span*dc when dc < 0. Span
+    grows strictly with p, since r never falls, so the tables are built once, one
+    rectangle per direction and period, up to the first span that leaves the
+    grid. Per cell they hold one getter of its lone backs, the cells p back
+    on chains with r = 1, which need no agreement, and its longer chains as
+    (getter, getter, back), in the order of directions and then periods.
+
+    So the rule is the set of symbols at the backs of the chains whose
+    r - 1 agreements hold: exactly those that close a repetition, with
+    min_period 1. With min_period > 1 they are only candidates, as is every
+    symbol below limit with r = 0 (threshold 1, not strict), kept by
+    ``search._closing_symbols`` if ``_backend.clean_after_append`` rejects
+    one of the cell's rays, which it reads through slices built in one pass
+    per direction.
     """
     total = side * side
     t_num, t_den = t.numerator, t.denominator
     r0 = _min_run(min_period, t_num, t_den, strict)
     exact = min_period == 1 and r0 > 0
-    # per cell: cells p back on chains with r = 1, chains with r >= 2 as
-    # (getter, getter, cell p back), and for the confirm path alone the
-    # placed cells of each backward ray as a slice; one pass per direction.
-    # A chain with r = 0 needs no table
     lone: list[list[int]] = [[] for _ in range(total)]
     chained: list[list[tuple]] = [[] for _ in range(total)]
     heads: list[list[slice]] = [[] for _ in range(0 if exact else total)]
-    for dr, dc in directions(max_direction):
+    for dr, dc in directions(max_direction):  # which checks the cap
         j = dr * side + dc
-        count = [1] * total  # cells on the backward ray ending at each cell
-        for cell in range(total):
-            if cell < dr * side or not 0 <= cell % side - dc < side:
-                continue  # no predecessor: a ray of one cell
-            n = count[cell] = count[cell - j] + 1
-            if not exact:  # only the confirm path reads the rays
-                heads[cell].append(slice(cell - (n - 1) * j, cell, j))
-            for p in range(min_period, _top_period(n, t_num, t_den, strict) + 1):
-                r = _min_run(p, t_num, t_den, strict)
-                back = cell - p * j
-                if r == 1:
-                    lone[cell].append(back)
-                elif r:  # the r - 1 cells before back agree with the r - 1 before cell
-                    chained[cell].append((itemgetter(*range(back - (r - 1) * j, back, j)),
-                                          itemgetter(*range(cell - (r - 1) * j, cell, j)), back))
+        if not exact:  # the confirm path's placed cells of each backward ray
+            count = [1] * total  # cells on the backward ray ending at each cell
+            for cell in range(dr * side, total):
+                if 0 <= cell % side - dc < side:
+                    n = count[cell] = count[cell - j] + 1
+                    heads[cell].append(slice(cell - (n - 1) * j, cell, j))
+        # span >= p, so the rectangle is empty from p = side on; with r0 = 0 no
+        # period needs an agreement, and no chain has a table
+        for p in range(min_period, side if r0 else 0):
+            r = _min_run(p, t_num, t_den, strict)
+            span = p + r - 1
+            left, right = max(0, span * dc), side + min(0, span * dc)  # the columns
+            if span * dr >= side or left >= right:
+                break  # and so for every later period
+            for first in range(span * dr * side + left, total, side):
+                for cell in range(first, first + right - left):
+                    back = cell - p * j
+                    if r == 1:
+                        lone[cell].append(back)
+                    else:  # the r - 1 cells before back agree with the r - 1 before cell
+                        chained[cell].append((itemgetter(*range(back - (r - 1) * j, back, j)),
+                                              itemgetter(*range(cell - (r - 1) * j, cell, j)),
+                                              back))
+    # itemgetter of one cell returns its value, not a tuple, so a slice reads one or none
+    lone_bans = [itemgetter(*b) if len(b) > 1 else
+                 itemgetter(slice(b[0], b[0] + 1) if b else slice(0)) for b in lone]
 
     def forbidden(values: bytearray, limit: int) -> set[int]:
         cell = len(values)
-        ban = {values[b] for b in lone[cell]} if r0 else set(range(limit))
+        ban = set(lone_bans[cell](values)) if r0 else set(range(limit))
         for same, again, back in chained[cell]:
             if same(values) == again(values):
                 ban.add(values[back])

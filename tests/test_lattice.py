@@ -273,6 +273,51 @@ def test_verify_top_plane_cells_match_line_by_line_oracle():
     assert 50 < hits < 250
 
 
+def test_threshold_one_builds_no_planes(monkeypatch):
+    # at threshold 1, not strict, a repetition needs no agreeing pair, so
+    # verify_grid lays nothing out and walks the lines of each direction
+    # with room; only the scanned lines get planes, in find_repetition
+    built = []
+    planes = lattice._planes
+    monkeypatch.setattr(lattice, "_planes", lambda s: built.append(len(s)) or planes(s))
+    rng = random.Random(111)
+    hits = 0
+    for case in range(200):
+        g = random_verify_case(rng, case)
+        mp, cap = rng.randrange(1, 4), rng.choice((1, 2, 8))
+        got = verify_grid(g, 1, min_period=mp, max_direction=cap)
+        want = first_line_report_per_line(g.cells, g.rows, g.cols, _backend.first_repetition,
+                                          Fraction(1), False, mp, cap)
+        if got is not None:
+            hits += 1
+            spec, rep = got
+            got = ((spec.row, spec.col, spec.drow, spec.dcol, spec.count),
+                   (rep.offset, rep.period, int(rep.exponent * rep.period)))
+        assert got == want, (g, mp, cap)
+    assert built == [] and 100 < hits < 200, (built, hits)
+    # strict, a repetition needs one agreeing pair, so the layout is screened
+    verify_grid(Grid(3, 3, bytes(range(9)), 9), 1, strict=True)
+    assert len(built) == 1
+
+
+def test_mutating_directions_changes_no_later_result():
+    # directions() hands out a fresh list each call, so a caller editing it
+    # cannot reorder or drop the directions verify_grid and grid_search use
+    g = product_grid(four_letter_squarefree(ORDINARY, 16), four_letter_squarefree(ORDINARY, 16))
+    searched = grid_search(6, 2, 4, max_direction=2)
+    for cap in (2, 3, 8):
+        ds = directions(cap)
+        ds.reverse()
+        ds.append((1, cap + 1))
+        del ds[-3:]
+    assert directions(2) == [(0, 1), (1, -2), (1, -1), (1, 0), (1, 1), (1, 2), (2, -1), (2, 1)]
+    for cap in (2, 3, 8):
+        spec, rep = verify_grid(g, Fraction(7, 4), max_direction=cap)
+        assert (spec.row, spec.col, spec.drow, spec.dcol, spec.count) == (0, 0, 0, 1, 16)
+        assert rep.to_line() == "diff=1 start=0 offset=2 period=4 exponent=7/4"
+    assert grid_search(6, 2, 4, max_direction=2) == searched
+
+
 def test_earliest_run_matches_oracle_on_grids(monkeypatch):
     # each direction's screen on verify_grid's padded planes, its start mapped
     # back to the row-major cells, against a trial search there whose pairs
@@ -293,7 +338,12 @@ def test_earliest_run_matches_oracle_on_grids(monkeypatch):
         strict, mp = rng.random() < 0.5, rng.randrange(1, 4)
         cap = rng.choice((1, 2, 8))
         screens.clear()
-        assert verify_grid(g, t, strict=strict, min_period=mp, max_direction=cap) is None
+        got = verify_grid(g, t, strict=strict, min_period=mp, max_direction=cap)
+        if _backend._min_run(mp, t.numerator, t.denominator, strict) == 0:
+            # threshold 1, not strict: every direction with room is walked unscreened
+            assert screens == []
+            continue
+        assert got is None
         lines = []
         for dr, dc in directions(cap):
             longest = lattice._cells_ahead(rows, cols, 0, 0 if dc >= 0 else cols - 1, dr, dc)
@@ -496,13 +546,32 @@ def test_search_matches_per_ray_loop():
     assert min(statuses.values()) >= 75 and len(statuses) == 3, statuses
 
 
+def recheck_rule(rng, limits, side, k, t, strict, mp, cap):
+    """Grow a random clean partial grid greedily, every placed cell checked by
+    brute force on each backward ray; at the next cell the rule must forbid
+    exactly the symbols that the brute force rejects. A limit above every
+    placed symbol, as a canonical walk asks with, keeps the symbols below it.
+    Yields each checked cell and the symbols it forbids."""
+    rule = lattice._grid_rule(t, side, strict, mp, cap)
+    values = bytearray()
+    for rays in backward_rays(side, cap):
+        want = {sym for sym in range(k) if any(
+            first_report(bytes(values[i] for i in ray[:-1]) + bytes((sym,)), t, strict,
+                         mp, exact_diff=1) is not None for ray in rays)}
+        assert rule(values, k) == want, (side, k, t, strict, mp, cap, bytes(values))
+        limit = limits.randrange(max(values, default=0) + 1, k + 1)
+        assert rule(values, limit) == want & set(range(limit)), (
+            side, k, t, strict, mp, cap, bytes(values), limit)
+        yield len(values), want
+        allowed = [sym for sym in range(k) if sym not in want]
+        if not allowed:
+            return
+        values.append(rng.choice(allowed))
+
+
 def test_grid_rule_matches_full_recheck():
-    # random clean partial grids, built greedily with every placed cell
-    # checked by brute force on each backward ray; at the next cell the rule
-    # must forbid exactly the symbols that the brute force rejects. Besides
-    # the default cap side - 1, caps 1, 2 and 8 reach directions with no
-    # ray and strides at the grid's edge. A limit above every placed symbol,
-    # as a canonical walk asks with, keeps the symbols below it
+    # besides the default cap side - 1, caps 1, 2 and 8 reach directions
+    # with no ray and strides at the grid's edge
     rng, limits = random.Random(4242), random.Random(4243)
     checked = fallback_bans = 0  # at the cap side - 1
     for _ in range(300):
@@ -512,24 +581,45 @@ def test_grid_rule_matches_full_recheck():
         strict = rng.random() < 0.5
         mp = rng.randrange(1, 4)
         for cap in sorted({side - 1, 1, 2, 8}):
-            rule = lattice._grid_rule(t, side, strict, mp, cap)
-            values = bytearray()
-            for rays in backward_rays(side, cap):
-                want = {sym for sym in range(k) if any(
-                    first_report(bytes(values[i] for i in ray[:-1]) + bytes((sym,)), t, strict,
-                                 mp, exact_diff=1) is not None for ray in rays)}
-                assert rule(values, k) == want, (side, k, t, strict, mp, cap, bytes(values))
-                limit = limits.randrange(max(values, default=0) + 1, k + 1)
-                assert rule(values, limit) == want & set(range(limit)), (
-                    side, k, t, strict, mp, cap, bytes(values), limit)
+            for _, want in recheck_rule(rng, limits, side, k, t, strict, mp, cap):
                 if cap == side - 1:
                     checked += 1
                     fallback_bans += mp > 1 and bool(want)
-                allowed = [sym for sym in range(k) if sym not in want]
-                if not allowed:
-                    break
-                values.append(rng.choice(allowed))
     assert checked >= 3000 and fallback_bans >= 400, (checked, fallback_bans)
+
+
+@pytest.mark.parametrize("t, strict", [(Fraction(7, 4), False), (Fraction(2), False),
+                                       (Fraction(2), True), (Fraction(3), False)])
+def test_grid_rule_matches_full_recheck_on_larger_sides(t, strict):
+    # sides 6-9, at the default cap and cap 8: a chain of period p reaches
+    # p + _min_run(p) - 1 cells back, so its cells form rectangles of span 3
+    # and more (from p = 2 at thresholds 2 and 7/4, p = 1 at 2+ and 3), which
+    # only cells from row or column 3 on hold
+    rng, limits = random.Random(f"rule:{t}:{strict}"), random.Random(4246)
+    deep = 0
+    for side in range(6, 10):
+        for cap in sorted({side - 1, 8}):
+            k = rng.randrange(5, 9)
+            mp = rng.choice((1, 1, 2))
+            for cell, _ in recheck_rule(rng, limits, side, k, t, strict, mp, cap):
+                deep += cell >= 3 * side or cell % side >= 3
+    assert deep >= 150, deep
+
+
+def test_grid_rule_reads_one_lone_cell_or_none():
+    # at threshold 2 a period-1 chain needs no agreement: at side 2 with cap
+    # 1 cell 1 has one such back (cell 0), cell 0 none, cells 2 and 3 two and
+    # three; at threshold 3 every chain needs one, so no cell has a lone back
+    rule = lattice._grid_rule(Fraction(2), 2, False, 1, 1)
+    assert rule(bytearray(), 3) == set()
+    assert rule(bytearray([2]), 3) == {2}
+    assert rule(bytearray([2, 1]), 3) == {1, 2}
+    assert rule(bytearray([2, 1, 0]), 3) == {0, 1, 2}
+    rule = lattice._grid_rule(Fraction(3), 3, False, 1, 2)
+    assert rule(bytearray(), 2) == set()
+    assert rule(bytearray([1]), 2) == set()
+    assert rule(bytearray([1, 1]), 2) == {1}  # the row 1 1 1 would be a cube
+    assert rule(bytearray([1, 0]), 2) == set()
 
 
 # ---------------------------------------------------------------- export
