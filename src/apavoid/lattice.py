@@ -295,12 +295,13 @@ def _grid_rule(t: Fraction, side: int, strict: bool, min_period: int,
     placed. Its witness chain reaches span = p + r - 1 cells back, so the
     cells with a chain of period p are those with span predecessors on the
     ray: a rectangle of rows span*dr to side - 1, and of columns span*dc to
-    side - 1 when dc >= 0 or 0 to side - 1 + span*dc when dc < 0. Span
-    grows strictly with p, since r never falls, so the tables are built once, one
-    rectangle per direction and period, up to the first span that leaves the
-    grid. Per cell they hold one getter of its lone backs, the cells p back
-    on chains with r = 1, which need no agreement, and its longer chains as
-    (getter, getter, back), in the order of directions and then periods.
+    side - 1 when dc >= 0 or 0 to side - 1 + span*dc when dc < 0. Span grows
+    strictly with p, since r never falls, so the tables are built once, one
+    rectangle per direction and period, up to the first span that leaves
+    the grid. Per cell they hold one getter of its lone backs, the cells p
+    back on chains with r = 1, which need no agreement, and its longer
+    chains as (getter, getter, back), in the order of directions and then
+    periods.
 
     So the rule is the set of symbols at the backs of the chains whose
     r - 1 agreements hold: exactly those that close a repetition, with

@@ -592,9 +592,8 @@ def test_grid_rule_matches_full_recheck():
                                        (Fraction(2), True), (Fraction(3), False)])
 def test_grid_rule_matches_full_recheck_on_larger_sides(t, strict):
     # sides 6-9, at the default cap and cap 8: a chain of period p reaches
-    # p + _min_run(p) - 1 cells back, so its cells form rectangles of span 3
-    # and more (from p = 2 at thresholds 2 and 7/4, p = 1 at 2+ and 3), which
-    # only cells from row or column 3 on hold
+    # span = p + _min_run(p) - 1 cells back, 3 or more from p = 2 on at each
+    # of these thresholds, and only cells from row or column 3 on hold one
     rng, limits = random.Random(f"rule:{t}:{strict}"), random.Random(4246)
     deep = 0
     for side in range(6, 10):
