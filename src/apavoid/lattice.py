@@ -152,27 +152,22 @@ def _directions(cap: int) -> tuple[tuple[int, int], ...]:
                      if math.gcd(dr, abs(dc)) == 1)
 
 
-def _cells_ahead(rows: int, cols: int, r: int, c: int, dr: int, dc: int) -> int:
-    """Cells from (r, c) on, stepping (dr, dc) with dr >= 0, that stay inside."""
-    steps = [(rows - 1 - r) // dr] if dr else []
-    if dc:
-        steps.append((cols - 1 - c) // dc if dc > 0 else c // -dc)
-    return 1 + min(steps)
-
-
 def _direction_lines(rows: int, cols: int, dr: int, dc: int) -> Iterator[LineSpec]:
     """The maximal lines of 2+ cells along one direction, heads row-major.
 
     Heads are cells whose predecessor along the direction falls outside the
-    region.
+    region: every cell of the first dr rows, and below them the first dc
+    columns when dc > 0 or the last -dc when dc < 0. A line from (r, c) has
+    1 + min((rows-1-r)//dr, (cols-1-c)//dc or c//-dc) cells, a zero
+    component bounding nothing.
     """
+    edge = range(min(dc, cols)) if dc >= 0 else range(max(0, cols + dc), cols)
     for r in range(rows):
-        for c in range(cols):
-            if 0 <= r - dr < rows and 0 <= c - dc < cols:
-                continue  # not a head
-            count = _cells_ahead(rows, cols, r, c, dr, dc)
-            if count >= 2:
-                yield LineSpec(r, c, dr, dc, count)
+        down = (rows - 1 - r) // dr if dr else cols
+        for c in range(cols) if r < dr else edge:
+            steps = min(down, (cols - 1 - c) // dc if dc > 0 else c // -dc if dc else rows)
+            if steps:
+                yield LineSpec(r, c, dr, dc, 1 + steps)
 
 
 def extract_line(g: Grid, spec: LineSpec) -> Word:
@@ -288,20 +283,24 @@ def _grid_rule(t: Fraction, side: int, strict: bool, min_period: int,
     ``extract_line``, a line of direction (dr, dc) is a progression of stride
     j = dr*side + dc through the row-major cells, and j >= 1, since dr >= 1
     with |dc| < side or the direction is (0, 1); so a cell's backward ray
-    cell - j, cell - 2j, ... runs over cells already placed. A repetition of
-    period p ending at the cell has r = _min_run(p) agreements p steps apart
-    along the ray; the last pairs the cell with the cell p steps back,
-    back = cell - p*j, and the r - 1 before it lie among cells already
+    cell - j, cell - 2j, ... runs over cells already placed. The new cell
+    is len(values) whenever the rule is asked, so every table entry is an
+    offset back from it: -j is the cell one step back on the ray. A
+    repetition of period p ending at the cell has r = _min_run(p)
+    agreements p steps apart along the ray; the last pairs the cell with
+    the cell at back = -p*j, and the r - 1 before it lie among cells already
     placed. Its witness chain reaches span = p + r - 1 cells back, so the
     cells with a chain of period p are those with span predecessors on the
     ray: a rectangle of rows span*dr to side - 1, and of columns span*dc to
-    side - 1 when dc >= 0 or 0 to side - 1 + span*dc when dc < 0. Span grows
-    strictly with p, since r never falls, so the tables are built once, one
-    rectangle per direction and period, up to the first span that leaves
-    the grid. Per cell they hold one getter of its lone backs, the cells p
-    back on chains with r = 1, which need no agreement, and its longer
-    chains as (getter, getter, back), in the order of directions and then
-    periods.
+    side - 1 when dc >= 0 or 0 to side - 1 + span*dc when dc < 0. Counted
+    back from the new cell, the chain is the same at every cell of that
+    rectangle, so it is built once per direction and period: the int back
+    when r = 1, a lone back that needs no agreement, and otherwise (getter
+    of the r - 1 cells before back, getter of the r - 1 before the new
+    cell, back). Span grows strictly with p, since r never falls, so the
+    periods stop at the first span that leaves the grid. Each cell holds
+    one getter of its lone backs and a list of its longer chains, in the
+    order of directions and then periods.
 
     So the rule is the set of symbols at the backs of the chains whose
     r - 1 agreements hold: exactly those that close a repetition, with
@@ -315,7 +314,7 @@ def _grid_rule(t: Fraction, side: int, strict: bool, min_period: int,
     t_num, t_den = t.numerator, t.denominator
     r0 = _min_run(min_period, t_num, t_den, strict)
     exact = min_period == 1 and r0 > 0
-    lone: list[list[int]] = [[] for _ in range(total)]
+    lone: list = [[] for _ in range(total)]  # then one getter per cell
     chained: list[list[tuple]] = [[] for _ in range(total)]
     heads: list[list[slice]] = [[] for _ in range(0 if exact else total)]
     for dr, dc in directions(max_direction):  # which checks the cap
@@ -334,22 +333,22 @@ def _grid_rule(t: Fraction, side: int, strict: bool, min_period: int,
             left, right = max(0, span * dc), side + min(0, span * dc)  # the columns
             if span * dr >= side or left >= right:
                 break  # and so for every later period
+            back = -p * j  # counted back from the new cell, so one chain serves the rectangle
+            chain = back if r == 1 else (itemgetter(*range(back - (r - 1) * j, back, j)),
+                                         itemgetter(*range(-(r - 1) * j, 0, j)), back)
+            tables = lone if r == 1 else chained
             for first in range(span * dr * side + left, total, side):
                 for cell in range(first, first + right - left):
-                    back = cell - p * j
-                    if r == 1:
-                        lone[cell].append(back)
-                    else:  # the r - 1 cells before back agree with the r - 1 before cell
-                        chained[cell].append((itemgetter(*range(back - (r - 1) * j, back, j)),
-                                              itemgetter(*range(cell - (r - 1) * j, cell, j)),
-                                              back))
-    # itemgetter of one cell returns its value, not a tuple, so a slice reads one or none
-    lone_bans = [itemgetter(*b) if len(b) > 1 else
-                 itemgetter(slice(b[0], b[0] + 1) if b else slice(0)) for b in lone]
+                    tables[cell].append(chain)
+    # itemgetter of one offset returns its value, not a tuple, so a slice reads
+    # one or none; b + 1 is 0 for the cell just before, and slice(-1, 0) is empty
+    for cell, b in enumerate(lone):
+        lone[cell] = itemgetter(*b) if len(b) > 1 else itemgetter(
+            slice(b[0], b[0] + 1 or None) if b else slice(0))
 
     def forbidden(values: bytearray, limit: int) -> set[int]:
         cell = len(values)
-        ban = set(lone_bans[cell](values)) if r0 else set(range(limit))
+        ban = set(lone[cell](values)) if r0 else set(range(limit))
         for same, again, back in chained[cell]:
             if same(values) == again(values):
                 ban.add(values[back])

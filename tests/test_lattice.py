@@ -344,9 +344,11 @@ def test_earliest_run_matches_oracle_on_grids(monkeypatch):
             assert screens == []
             continue
         assert got is None
-        lines = []
+        lines, counts = [], {}
+        for _, _, dr, dc, count in grid_lines(rows, cols, cap):
+            counts[dr, dc] = max(count, counts.get((dr, dc), 0))
         for dr, dc in directions(cap):
-            longest = lattice._cells_ahead(rows, cols, 0, 0 if dc >= 0 else cols - 1, dr, dc)
+            longest = counts.get((dr, dc), 1)  # grid_lines holds lines of 2+ cells
             top = _backend._top_period(longest, t.numerator, t.denominator, strict)
             if longest >= 2 and top >= mp:
                 lines.append((dr, dc, longest))
@@ -619,6 +621,19 @@ def test_grid_rule_reads_one_lone_cell_or_none():
     assert rule(bytearray([1]), 2) == set()
     assert rule(bytearray([1, 1]), 2) == {1}  # the row 1 1 1 would be a cube
     assert rule(bytearray([1, 0]), 2) == set()
+
+
+def test_grid_rule_builds_each_chain_once_per_direction_and_period():
+    # counted back from the new cell, a chain is one object for its whole
+    # rectangle; a getter pair per cell and chain took 10.6 MB here
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        lattice._grid_rule(Fraction(2), 24, False, 1, 23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000, peak
 
 
 # ---------------------------------------------------------------- export
