@@ -625,7 +625,7 @@ def test_grid_rule_reads_one_lone_cell_or_none():
 
 def test_grid_rule_builds_each_chain_once_per_direction_and_period():
     # counted back from the new cell, a chain is one object for its whole
-    # rectangle; a getter pair per cell and chain took 10.6 MB here
+    # rectangle; a getter pair per cell and chain took about 11 MB
     import tracemalloc
     tracemalloc.start()
     try:
