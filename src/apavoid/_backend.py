@@ -41,10 +41,11 @@ def _min_run(p, t_num, t_den, strict):
     """Least r >= 0 with (p + r) / p >= t_num / t_den (> when strict).
 
     A factor of period p and length p + r has exponent at least (p + r) / p,
-    so r is how many positions must agree p steps apart.
+    so r is how many positions must agree p steps apart: the ceiling of
+    p*(t_num - t_den) / t_den, or one more than its floor when strict.
+    ``repetition._earliest_run`` computes the same expression inline.
     """
-    excess = p * (t_num - t_den)
-    return excess // t_den + 1 if strict else -(-excess // t_den)
+    return (p * (t_num - t_den) + t_den - 1 + strict) // t_den
 
 
 def _prefix_periods(s):

@@ -1,9 +1,10 @@
 """Command-line surface: gen, check, search, grid.
 
 Exit codes: 0 success, 1 property violation (repetition found, search cap
-or budget hit, infeasible region), 2 usage or input errors, 141 (128 +
-SIGPIPE) when the reader closes stdout early. All output is
-newline-terminated ASCII and deterministic for a given flag set.
+or budget hit, infeasible region), 2 usage or input errors, 3 a crash (any
+other exception, such as running out of memory, with its traceback on
+stderr), 141 (128 + SIGPIPE) when the reader closes stdout early. All output
+is newline-terminated ASCII and deterministic for a given flag set.
 """
 
 from __future__ import annotations
@@ -323,6 +324,16 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a crash, not a verdict, so not exit code 1. The finished frames' locals go
+        # first, so that after a MemoryError there is room to print the traceback,
+        # which sys.excepthook does without importing a module.
+        tb = exc.__traceback__.tb_next  # past this frame, which is still running
+        while tb is not None:
+            tb.tb_frame.clear()
+            tb = tb.tb_next
+        sys.excepthook(type(exc), exc, exc.__traceback__)
+        return 3
     return code
 
 

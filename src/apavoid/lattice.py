@@ -6,7 +6,9 @@ Directions are primitive vectors counted once per undirected line: (0,1)
 plus every (dr, dc) with dr >= 1, |dc| <= the direction cap and
 gcd(dr, |dc|) = 1. Every such vector has an odd component, which is what
 lets product grids inherit cleanness from odd-difference progressions of
-their factors.
+their factors. A region enumerates only the directions that fit it, dr
+below its rows and |dc| below its columns: a longer step has no line of
+two cells there, so the cap beyond that changes nothing.
 
 The lines of one direction are progressions of one step in the grid's
 cells, laid out with pad cells after each row, so ``verify_grid`` screens a
@@ -19,6 +21,7 @@ row-major cells.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +29,7 @@ from operator import itemgetter
 
 from ._backend import _min_run, _top_period
 from .repetition import (Differences, RepetitionReport, _checked_threshold,
-                         _earliest_run, _planes, _run_lengths, find_repetition)
+                         _earliest_run, _planes, find_repetition)
 from .search import _backtrack, _closing_symbols
 from .words import (MAX_ALPHABET, Word, _CHARS, _check_alphabet_size, _check_integer, _set,
                     _symbol_bytes, _Value)
@@ -142,14 +145,21 @@ def product_grid(u: Word, v: Word) -> Grid:
 def directions(max_direction: int) -> list[tuple[int, int]]:
     """Primitive directions up to reversal, components bounded in magnitude."""
     _check_integer(max_direction, "direction cap", 1)
-    return list(_directions(max_direction))
+    return list(zip(*_directions(max_direction, max_direction)))
 
 
 @lru_cache(maxsize=16)
-def _directions(cap: int) -> tuple[tuple[int, int], ...]:
-    """``directions`` of a cap already checked, kept per cap as a tuple."""
-    return (0, 1), *((dr, dc) for dr in range(1, cap + 1) for dc in range(-cap, cap + 1)
-                     if math.gcd(dr, abs(dc)) == 1)
+def _directions(most_dr: int, most_dc: int) -> tuple[array, array]:
+    """(0, 1) and the primitive (dr, dc) with 1 <= dr <= most_dr and |dc| <=
+    most_dc, in the order of ``directions``, kept per bound as two columns of
+    machine integers, dr and dc, which ``zip`` reads as pairs: 8 bytes a
+    direction, where a tuple of pairs holds an object of 56 bytes or more."""
+    drs, dcs = array("i", [0]), array("i", [1])
+    for dr in range(1, most_dr + 1):
+        row = [dc for dc in range(-most_dc, most_dc + 1) if math.gcd(dr, dc) == 1]
+        drs.extend([dr] * len(row))
+        dcs.extend(row)
+    return drs, dcs
 
 
 def _direction_lines(rows: int, cols: int, dr: int, dc: int) -> Iterator[LineSpec]:
@@ -210,17 +220,20 @@ def verify_grid(
     direction by direction, in the order of ``directions``, and row-major by
     head within a direction.
 
-    The directions of a cap are built once and kept as a tuple. A
-    direction's longest line starts at a corner and has 1 + min((rows-1)//dr,
-    (cols-1)//|dc|) cells, a zero component bounding nothing; a direction
-    whose longest line has no room for a period is skipped. The rows are
-    laid out width = cols + ``_row_pad`` cells apart, with pad cells after
-    each, and the lines of direction (dr, dc) are progressions of step
-    j = dr*width + dc in that layout. Each direction is searched as a whole
-    by ``repetition._earliest_run`` on the layout's bit planes and one table
-    of run lengths, both built once, and bounded by its longest line. Pad
-    cells have a plane of their own, so no cell agrees with one, and their
-    mask starts every mismatch, so none starts a run. A pair whose column
+    Only the directions that fit the grid are enumerated, with dr <=
+    min(max_direction, rows - 1) and |dc| <= min(max_direction, cols - 1),
+    since a longer step has no line of two cells; each such list is built
+    once and kept by ``_directions``. A direction's longest line starts at a
+    corner and has 1 + min((rows-1)//dr, (cols-1)//|dc|) cells, a zero
+    component bounding nothing; a direction whose longest line has no room
+    for a period is skipped. The rows are laid out width = cols +
+    ``_row_pad`` cells apart, with pad cells after each, and the lines of
+    direction (dr, dc) are progressions of step j = dr*width + dc in that
+    layout. Each direction is searched as a whole by
+    ``repetition._earliest_run`` on the layout's bit planes, built once, and
+    bounded by its longest line. Pad cells have a plane of their own, so no
+    cell agrees with one, and their mask starts every mismatch, so none
+    starts a run. A pair whose column
     leaves the grid, and a step of a chain that leaves its line, land on pad
     cells, so every run found lies on one line. A direction where no
     repetition can start (-1) is clean. A flagged one has its lines scanned
@@ -241,15 +254,14 @@ def verify_grid(
         mask = int(("1" * pad + "0" * cols) * rows, 2)  # bit r*width + c for c >= cols
         laid_out = b"".join(g.cells[k:k + cols] + bytes(pad) for k in range(0, rows * cols, cols))
         planes = _planes(laid_out) + [mask]  # the pad cells' own plane
-        runs = _run_lengths(max(rows, cols), t_num, t_den, strict, min_period)
-    for dr, dc in _directions(max_direction):
+    for dr, dc in zip(*_directions(min(max_direction, rows - 1), min(max_direction, cols - 1))):
         # a zero component bounds nothing: (0, 1) runs along a row and (1, 0) down a column
         longest = 1 + min((rows - 1) // dr if dr else cols, (cols - 1) // abs(dc) if dc else rows)
         top = _top_period(longest, t_num, t_den, strict)
         if longest < 2 or top < min_period:
             continue
-        if screen and _earliest_run(planes, rows * width, dr * width + dc, runs, min_period, top,
-                                    mask) < 0:
+        if screen and _earliest_run(planes, rows * width, dr * width + dc, t_num, t_den, strict,
+                                    min_period, top, mask) < 0:
             continue
         for spec in _direction_lines(rows, cols, dr, dc):
             rep = find_repetition(extract_line(g, spec), t, strict=strict,
@@ -281,9 +293,11 @@ def _grid_rule(t: Fraction, side: int, strict: bool, min_period: int,
 
     Only repetitions ending at the new cell need a check. As in
     ``extract_line``, a line of direction (dr, dc) is a progression of stride
-    j = dr*side + dc through the row-major cells, and j >= 1, since dr >= 1
-    with |dc| < side or the direction is (0, 1); so a cell's backward ray
-    cell - j, cell - 2j, ... runs over cells already placed. The new cell
+    j = dr*side + dc through the row-major cells. Only the directions that
+    fit the grid are enumerated, dr and |dc| at most side - 1, so j >= 1,
+    since dr >= 1 with |dc| < side or the direction is (0, 1); a cell's
+    backward ray cell - j, cell - 2j, ... runs over cells already placed. The
+    dropped directions have no line of two cells, so no chain. The new cell
     is len(values) whenever the rule is asked, so every table entry is an
     offset back from it: -j is the cell one step back on the ray. A
     repetition of period p ending at the cell has r = _min_run(p)
@@ -310,14 +324,16 @@ def _grid_rule(t: Fraction, side: int, strict: bool, min_period: int,
     one of the cell's rays, which it reads through slices built in one pass
     per direction.
     """
+    _check_integer(max_direction, "direction cap", 1)
     total = side * side
+    fit = min(max_direction, side - 1)  # a longer step leaves the grid
     t_num, t_den = t.numerator, t.denominator
     r0 = _min_run(min_period, t_num, t_den, strict)
     exact = min_period == 1 and r0 > 0
     lone: list = [[] for _ in range(total)]  # then one getter per cell
     chained: list[list[tuple]] = [[] for _ in range(total)]
     heads: list[list[slice]] = [[] for _ in range(0 if exact else total)]
-    for dr, dc in directions(max_direction):  # which checks the cap
+    for dr, dc in zip(*_directions(fit, fit)):
         j = dr * side + dc
         if not exact:  # the confirm path's placed cells of each backward ray
             count = [1] * total  # cells on the backward ray ending at each cell

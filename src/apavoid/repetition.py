@@ -213,38 +213,32 @@ def max_exponent(w: Word) -> Fraction:
     return best
 
 
-def _run_lengths(m: int, t_num: int, t_den: int, strict: bool, min_period: int) -> list[int]:
-    """r(p) = ``_min_run(p)`` for each period p from min_period up to
-    ``_top_period(m)``, the periods a progression of m symbols can repeat at;
-    entry k is for period min_period + k. A scan builds it once and reads each
-    shorter progression's run lengths from its front."""
-    return [_min_run(p, t_num, t_den, strict)
-            for p in range(min_period, _top_period(m, t_num, t_den, strict) + 1)]
-
-
-def _earliest_run(planes: list[int], n: int, j: int, runs: list[int], min_period: int,
-                  top: int, mask: int = 0) -> int:
+def _earliest_run(planes: list[int], n: int, j: int, t_num: int, t_den: int, strict: bool,
+                  min_period: int, top: int, mask: int = 0) -> int:
     """Least i where a repetition along stride j in the n symbols can start, or -1.
 
     One call searches every period p from min_period to ``top`` in one loop,
-    with no call per period; entry p - min_period of ``runs``, from
-    ``_run_lengths``, is r = _min_run(p). Bit i of the planes' mismatch at
-    shift p*j, formed as ``_mismatch`` forms it, is clear when s[i] ==
-    s[i + p*j]. The loop looks, with ``_run_start``'s doubling, for r clear
-    bits i, i + j, ..., i + (r-1)*j below n - p*j: r pairs one stride apart,
-    all in one class, all agreeing, which a repetition of period p starting
-    at i needs. Once a run is found, later periods only look for runs that
-    start before it. A repetition of smallest period q >=
-    min_period leaves a run where it starts at p = q, so none starts before
-    the answer. With min_period 1 one starts right there: the run spans p + r
-    symbols of period p, so their smallest period passes too.
+    with no call per period and no table: r = _min_run(p) at the threshold
+    t_num/t_den is one integer division, which the loop computes exactly as
+    ``_min_run`` does. Bit i of the planes' mismatch at shift p*j, formed as
+    ``_mismatch`` forms it, is clear when s[i] == s[i + p*j]. The loop
+    looks, with ``_run_start``'s doubling, for r clear bits i, i + j, ...,
+    i + (r-1)*j below n - p*j: r pairs one stride apart, all in one class,
+    all agreeing, which a repetition of period p starting at i needs. Once a
+    run is found, later periods only look for runs that start before it. A
+    repetition of smallest period q >= min_period leaves a run where it
+    starts at p = q, so none starts before the answer. With min_period 1 one
+    starts right there: the run spans p + r symbols of period p, so their
+    smallest period passes too.
 
     ``top`` is ``_top_period`` of the longest progression. Every mismatch
     starts from ``mask``, so no run starts at a bit set in it: ``lattice``
     sets it on the pad cells between a grid's rows.
     """
     best = -1
-    for p, r in zip(range(min_period, top + 1), runs):
+    excess, bias = t_num - t_den, t_den - 1 + strict  # r = _min_run(p), as that computes it
+    for p in range(min_period, top + 1):
+        r = (p * excess + bias) // t_den
         if r == 0:
             return 0
         d = p * j
@@ -285,15 +279,16 @@ def find_repetition(
     is at least the threshold (above it when strict) with smallest period at
     least min_period. Returns None when every progression is clean.
 
-    The word's bit planes and its table of run lengths are built once, and
-    ``_earliest_run`` searches each difference j on them as a whole, with one
-    call per difference and no call per period, for the least position i
-    where a repetition can start; a difference with none (-1) is skipped.
-    The classes of difference j hold at most ceil(n/j) letters, which falls
-    as j grows, so the loop ends at the first difference with no room for a
-    period (``_top_period(ceil(n/j)) < min_period``). In a flagged difference
-    the classes are walked in start order, and the exact kernel runs on each
-    from the earliest offset where a repetition can start. Position i is
+    The word's bit planes are built once, and ``_earliest_run`` searches
+    each difference j on them as a whole, with one call per difference, none
+    per period and each period's run length computed in its loop, for the
+    least position i where a repetition can start; a difference with none
+    (-1) is skipped. The classes of difference j hold at most ceil(n/j)
+    letters, which falls as j grows, so the loop ends at the first
+    difference with no room for a period (``_top_period(ceil(n/j)) <
+    min_period``). In a flagged difference the classes are walked in start
+    order, and the exact kernel runs on each from the earliest offset where
+    a repetition can start. Position i is
     offset i // j of class i % j, and no repetition of the difference starts
     before it, so that class starts there; every other class runs the same
     search with stride 1 on its own planes. For j = 1 the one class is the
@@ -310,20 +305,17 @@ def find_repetition(
     s = w.symbols
     n = len(s)
     planes = _planes(s)
-    js = differences.candidates(n)
-    # the first difference has the longest classes, so the table covers every class
-    runs = _run_lengths(-(-n // js.start), t_num, t_den, strict, min_period)
-    for j in js:
+    for j in differences.candidates(n):
         top = _top_period(-(-n // j), t_num, t_den, strict)
         if top < min_period:
             break  # no room for a period here, nor on any later difference
-        first = _earliest_run(planes, n, j, runs, min_period, top)
+        first = _earliest_run(planes, n, j, t_num, t_den, strict, min_period, top)
         if first < 0:
             continue
         for start in range(j):
             ap = s[start::j]
             i = first // j if start == first % j else _earliest_run(
-                _planes(ap), len(ap), 1, runs, min_period,
+                _planes(ap), len(ap), 1, t_num, t_den, strict, min_period,
                 _top_period(len(ap), t_num, t_den, strict))
             if i < 0:
                 continue

@@ -397,6 +397,21 @@ def test_closed_stdout_exits_quietly(child_env):
         assert (proc.wait(), err) == (141, b"")
 
 
+@pytest.mark.parametrize("command, argv, error", [
+    ("_cmd_grid", ["grid", "--search-alphabet", "3", "--size", "80"], MemoryError),
+    ("_cmd_gen", ["gen", "--word", "carpi", "--length", "4"], RuntimeError),
+])
+def test_a_crash_exits_three_with_its_traceback(monkeypatch, capsys, command, argv, error):
+    # exit code 1 is a verdict, so a crash must not end with it
+    def crash(args):
+        raise error("out of luck")
+
+    monkeypatch.setattr(cli, command, crash)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback") and f"{error.__name__}: out of luck" in err
+
+
 def test_module_entry_point(child_env):
     proc = subprocess.run([sys.executable, "-m", "apavoid", "check", "--input", "-",
                            "--threshold", "2", "--diffs", "odd"],

@@ -131,6 +131,47 @@ def test_directions_are_primitive_and_distinct():
         assert dr > 0 or (dr, dc) == (0, 1)
 
 
+def test_kept_directions_take_two_integers_each():
+    # sixteen kept caps near 70 left about 7 MB behind as tuples of pairs
+    import tracemalloc
+    lattice._directions.cache_clear()
+    tracemalloc.start()
+    try:
+        for cap in range(60, 76):
+            directions(cap)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        lattice._directions.cache_clear()
+    assert kept < 2_000_000, kept
+
+
+def test_directions_beyond_the_region_are_not_enumerated(monkeypatch):
+    # a step with dr >= rows or |dc| >= cols has no line of two cells, so no
+    # cap beyond the region is asked for, and the results are the fitted cap's
+    asked = []
+    build = lattice._directions
+
+    def record(*bounds):
+        asked.append(bounds)
+        assert max(bounds) < 12, bounds  # rather than enumerate a cap of 10**6
+        return build(*bounds)
+
+    monkeypatch.setattr(lattice, "_directions", record)
+    v = four_letter_squarefree(ORDINARY, 12)
+    for rows in (1, 4, 12):
+        g = product_grid(v.prefix(rows), v)
+        for t in (2, Fraction(7, 4)):
+            assert (verify_grid(g, t, max_direction=10**6)
+                    == verify_grid(g, t, max_direction=11)), (rows, t)
+    assert set(asked) == {(0, 11), (3, 11), (11, 11)}
+    asked.clear()
+    for side, letters in ((1, 2), (4, 3), (5, 6)):
+        assert (grid_search(letters, 2, side, max_direction=10**6)
+                == grid_search(letters, 2, side)), side
+    assert set(asked) == {(0, 0), (3, 3), (4, 4)}
+
+
 def test_two_by_two_has_six_segments():
     specs = [s for dr, dc in directions(1) for s in lattice._direction_lines(2, 2, dr, dc)]
     assert len(specs) == 6

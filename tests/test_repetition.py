@@ -529,10 +529,11 @@ RUN_THRESHOLDS = ((Fraction(1), False), (Fraction(3, 2), False), (Fraction(7, 4)
                   (Fraction(3), False))
 
 
-def test_earliest_run_matches_oracle():
-    rng = random.Random(2020)
+def earliest_runs_against_oracle(rng, cases, thresholds):
+    """The run search's answers on seeded words of up to 47 letters, each
+    with a planted run, checked against the trial search."""
     starts = []
-    for _ in range(1500):
+    for _ in range(cases):
         n = rng.randrange(1, 48)
         if rng.random() < 0.5:
             letters = rng.choice(PLANE_ALPHABETS)
@@ -543,16 +544,31 @@ def test_earliest_run_matches_oracle():
         for k in range(rng.randrange(6)):  # a planted run p strides long
             if at + (k + p) * j < n:
                 sym[at + (k + p) * j] = sym[at + k * j]
-        t, strict = rng.choice(RUN_THRESHOLDS)
+        t, strict = rng.choice(thresholds)
         mp = rng.randrange(1, 4)
-        runs = repetition._run_lengths(n, t.numerator, t.denominator, strict, mp)
         top = _backend._top_period(-(-n // j), t.numerator, t.denominator, strict)
-        got = repetition._earliest_run(repetition._planes(bytes(sym)), n, j, runs, mp, top)
+        got = repetition._earliest_run(repetition._planes(bytes(sym)), n, j, t.numerator,
+                                       t.denominator, strict, mp, top)
         assert got == earliest_run(list(sym), j, t, strict, mp), (sym.hex(), j, t, strict, mp)
         starts.append(got)
+    return starts
+
+
+def test_earliest_run_matches_oracle():
+    starts = earliest_runs_against_oracle(random.Random(2020), 1500, RUN_THRESHOLDS)
     # 760 none, 358 at 0, 382 later, 103 of them at 8 or more
     assert sum(i < 0 for i in starts) > 600 and sum(i > 0 for i in starts) > 300
     assert sum(i >= 8 for i in starts) > 80
+
+
+def test_earliest_run_matches_oracle_at_a_big_threshold():
+    # just above 2, with a numerator and denominator past 64 bits, so the
+    # loop's run lengths are divisions of big integers
+    big = Fraction(2**62 + 1, 2**61)
+    starts = earliest_runs_against_oracle(random.Random(2062), 600,
+                                          ((big, False), (big, True)))
+    # 383 none, 57 at 0 and 160 later
+    assert sum(i < 0 for i in starts) > 300 and sum(i > 0 for i in starts) > 120
 
 
 def test_earliest_run_matches_oracle_on_long_runs():
@@ -571,16 +587,18 @@ def test_earliest_run_matches_oracle_on_long_runs():
                 sym[at + (k + p) * j] = sym[at + k * j]
         t, strict = rng.choice(RUN_THRESHOLDS[5:])
         mp = rng.randrange(1, 4)
-        runs = repetition._run_lengths(n, t.numerator, t.denominator, strict, mp)
         top = _backend._top_period(-(-n // j), t.numerator, t.denominator, strict)
-        got = repetition._earliest_run(repetition._planes(bytes(sym)), n, j, runs, mp, top)
+        got = repetition._earliest_run(repetition._planes(bytes(sym)), n, j, t.numerator,
+                                       t.denominator, strict, mp, top)
         assert got == earliest_run(list(sym), j, t, strict, mp), (sym.hex(), j, t, strict, mp)
         starts.append(got)
         if got > 0:
-            q = next(q for q in range(mp, top + 1)
+            runs = {q: _backend._min_run(q, t.numerator, t.denominator, strict)
+                    for q in range(mp, top + 1)}
+            q = next(q for q in runs
                      if all(a + q * j < n and sym[a] == sym[a + q * j]
-                            for a in range(got, got + runs[q - mp] * j, j)))
-            long_runs += runs[q - mp] >= 9
+                            for a in range(got, got + runs[q] * j, j)))
+            long_runs += runs[q] >= 9
     # 77 none, 1 at 0 and 122 later, 59 of them with r >= 9
     assert sum(i < 0 for i in starts) > 50 and sum(i > 0 for i in starts) > 100
     assert long_runs > 40
