@@ -280,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop growing words at this length; without it or --budget the "
                         "search stops after 100000 nodes")
     p.add_argument("--budget", type=int, default=None,
-                   help="node budget of the search, which then prints nodes= when it "
-                        "finishes (default: 100000 without --length-cap, none with it)")
+                   help="node budget of the search, which then prints nodes= after an "
+                        "exact answer (default: 100000 without --length-cap, none with it)")
     p.add_argument("--canonical", action="store_true",
                    help="search up to symbol renaming, expand afterwards")
     p.set_defaults(func=_cmd_search)

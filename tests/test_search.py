@@ -1,5 +1,7 @@
 import random
+import re
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -294,6 +296,75 @@ def test_capped_search_stores_no_words():
     assert peak < 64 * 1024
 
 
+# Carpi's tree, 4 letters with squares on odd differences, under caps 12..20:
+# (plain nodes, canonical nodes), as the search benchmark's gate pins them
+CARPI_NODES = {
+    12: (17972, 753), 13: (24116, 1009), 14: (32564, 1361), 15: (44084, 1841),
+    16: (59828, 2497), 17: (77108, 3217), 18: (97364, 4061), 19: (120596, 5029),
+    20: (148436, 6189),
+}
+
+
+@pytest.mark.parametrize("cap", sorted(CARPI_NODES))
+def test_carpi_tree_node_counts(cap):
+    prob = AvoidanceProblem(4, Fraction(2), Differences.odd(), length_cap=cap)
+    for canonical, nodes in zip((False, True), CARPI_NODES[cap]):
+        res = backtrack_longest(prob, canonical=canonical)
+        assert (res.max_length, res.nodes_visited, res.capped, res.budget_exhausted,
+                res.maximal_words) == (cap, nodes, True, False, ()), canonical
+
+
+@pytest.mark.parametrize("k, t, strict, min_period, diffs, cap, canonical", [
+    (4, Fraction(2), False, 1, Differences.odd(), 5, False),  # 500 nodes
+    (3, Fraction(2), True, 2, Differences.all(), 5, False),  # 363
+    (4, Fraction(2), False, 1, Differences.odd(), 8, True),  # 157
+    (3, Fraction(2), True, 2, Differences.all(), 6, True),  # 182
+    # a word one short of the cap uses at most 3 of the 5 letters, so its
+    # children's canonical limit is below the alphabet
+    (5, Fraction(3, 2), False, 1, Differences.odd(), 4, True),  # 10
+])
+def test_counted_last_level_stops_where_the_walk_stops(k, t, strict, min_period, diffs, cap,
+                                                       canonical):
+    # once a word reaches the cap, the children of a word one short of it are
+    # counted, not walked; at every budget the search must stop where the
+    # per-class oracle, which walks them, stops
+    prob = AvoidanceProblem(k, t, diffs, strict=strict, min_period=min_period, length_cap=cap)
+    args = (k, t, clean_after_append, strict, min_period, (diffs.kind, diffs.value), canonical,
+            cap)
+    length, _, total, capped, _ = word_search_per_class(*args)
+    assert (length, capped) == (cap, True)
+    for budget in (*range(total + 1), None):
+        length, _, nodes, capped, out = word_search_per_class(*args, budget)
+        res = backtrack_longest(prob, canonical=canonical, node_budget=budget)
+        assert (res.max_length, res.nodes_visited, res.capped, res.budget_exhausted) == \
+            (length, nodes, capped, out), budget
+
+
+def test_rule_not_asked_one_short_of_a_reached_cap(monkeypatch):
+    # the rule is asked about a word of length cap - 1 only until some word
+    # has reached the cap; Carpi's first such word extends, so it is asked once
+    calls = Counter()
+
+    def counting_rule(problem):
+        rule = _word_rule(problem)
+
+        def forbidden(prefix, limit):
+            calls[len(prefix)] += 1
+            return rule(prefix, limit)
+        return forbidden
+
+    monkeypatch.setattr(search, "_word_rule", counting_rule)
+    for cap in (12, 20):
+        prob = AvoidanceProblem(4, Fraction(2), Differences.odd(), length_cap=cap)
+        for canonical, nodes, asked in zip((False, True), CARPI_NODES[cap],
+                                           {12: (3294, 141), 20: (30150, 1260)}[cap]):
+            calls.clear()
+            res = backtrack_longest(prob, canonical=canonical)
+            assert res.nodes_visited == nodes
+            assert (calls[cap - 1], calls[cap], sum(calls.values())) == (1, 0, asked), \
+                (cap, canonical)
+
+
 def test_length_cap_above_true_maximum_is_harmless():
     prob = AvoidanceProblem(2, Fraction(2), Differences.odd(), strict=True, length_cap=50)
     res = backtrack_longest(prob)
@@ -334,6 +405,14 @@ def test_min_period_search_grows_a_constant_word_within_budget():
     prob = AvoidanceProblem(2, Fraction(7, 4), Differences.odd(), min_period=2)
     res = backtrack_longest(prob, canonical=True, node_budget=400)
     assert (res.budget_exhausted, res.nodes_visited) == (True, 400)
+
+
+@pytest.mark.parametrize("canonical", ["no", 0, 1, None, [True]])
+def test_canonical_must_be_a_bool(canonical):
+    # any other value would be read for its truthiness and stored as given
+    with pytest.raises(ValueError, match=rf"^canonical must be True or False, not "
+                                         rf"{re.escape(repr(canonical))}$"):
+        backtrack_longest(AvoidanceProblem(2, 3, Differences.odd()), canonical=canonical)
 
 
 def test_negative_budget_is_rejected():
