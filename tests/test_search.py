@@ -340,7 +340,9 @@ def test_counted_last_level_stops_where_the_walk_stops(k, t, strict, min_period,
             (length, nodes, capped, out), budget
 
 
-def test_rule_not_asked_one_short_of_a_reached_cap(monkeypatch):
+@pytest.mark.parametrize("cap, canonical, asked", [
+    (12, False, 3294), (12, True, 141), (20, False, 30150), (20, True, 1260)])
+def test_rule_not_asked_one_short_of_a_reached_cap(monkeypatch, cap, canonical, asked):
     # the rule is asked about a word of length cap - 1 only until some word
     # has reached the cap; Carpi's first such word extends, so it is asked once
     calls = Counter()
@@ -354,15 +356,10 @@ def test_rule_not_asked_one_short_of_a_reached_cap(monkeypatch):
         return forbidden
 
     monkeypatch.setattr(search, "_word_rule", counting_rule)
-    for cap in (12, 20):
-        prob = AvoidanceProblem(4, Fraction(2), Differences.odd(), length_cap=cap)
-        for canonical, nodes, asked in zip((False, True), CARPI_NODES[cap],
-                                           {12: (3294, 141), 20: (30150, 1260)}[cap]):
-            calls.clear()
-            res = backtrack_longest(prob, canonical=canonical)
-            assert res.nodes_visited == nodes
-            assert (calls[cap - 1], calls[cap], sum(calls.values())) == (1, 0, asked), \
-                (cap, canonical)
+    prob = AvoidanceProblem(4, Fraction(2), Differences.odd(), length_cap=cap)
+    res = backtrack_longest(prob, canonical=canonical)
+    assert res.nodes_visited == CARPI_NODES[cap][canonical]
+    assert (calls[cap - 1], calls[cap], sum(calls.values())) == (1, 0, asked)
 
 
 def test_length_cap_above_true_maximum_is_harmless():
